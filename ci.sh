@@ -14,7 +14,11 @@ fi
 
 go vet ./...
 go build ./...
-go test ./...
+# Tier-1 on one processor and on two, so an assumption that only holds
+# when goroutines never run in parallel fails here. -count=1 because the
+# test cache does not key on GOMAXPROCS.
+GOMAXPROCS=1 go test -count=1 ./...
+GOMAXPROCS=2 go test -count=1 ./...
 # internal/core rides along for the use-after-recycle guard
 # (TestPinnedRetentionRaceFree).
 # internal/metrics rides along: its registry is engine-local and must
@@ -47,6 +51,16 @@ go test ./internal/trace/ -run 'TestDisabledTracerOverhead|TestHotPathAllocs' -v
 # pulled once per window, never per event), and an attached-but-unstarted
 # registry must leave the simulation byte-identical.
 go test ./internal/metrics/ -run 'TestEnabledMetricsOverhead|TestUnstartedRegistryInvisible|TestHarvestAllocs' -v
+
+# The OpenMetrics renderer serves every /metrics scrape: its allocations
+# per render must not grow with the retained window count (prefixes are
+# built per member, timestamps per window, lines appended to one reused
+# buffer). A count of allocations, so it does not depend on wall time.
+go test ./internal/metrics/ -run 'TestOpenMetricsAllocsFlat' -v -count=1
+
+# The renderer must stay byte-identical to the fmt-based oracle on
+# arbitrary labels, units, stamps and sample bit patterns.
+go test ./internal/metrics/ -run '^$' -fuzz '^FuzzOpenMetricsFleet$' -fuzztime 15s
 
 # The harvest tick over the full-network instrument table must not
 # allocate: rings are sized at Start, rescheduling reuses the pre-bound

@@ -2,15 +2,18 @@
 // OpenMetrics text (for anything that scrapes Prometheus exposition),
 // JSON (the lossless interchange format cmd/chipletstat re-reads), and
 // CSV in long form (one row per window x instrument, ready for pandas or
-// gnuplot). Export happens after a run, off the hot path; none of this
-// code is allocation-gated.
+// gnuplot). Export runs off the simulation's hot path, but the
+// OpenMetrics renderer serves every live /metrics scrape, so it is
+// append-based and allocation-gated: its allocations per render must not
+// grow with the retained window count (TestOpenMetricsAllocsFlat, gated
+// in ci.sh).
 package metrics
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"repro/internal/units"
 )
@@ -148,29 +151,40 @@ func ReadJSON(r io.Reader) (*Dump, error) {
 	return &d, nil
 }
 
-// sanitizeOM maps a metric or label fragment to the OpenMetrics charset.
-func sanitizeOM(s string) string {
-	var b strings.Builder
+// appendSanitizedOM appends s mapped to the OpenMetrics charset: ASCII
+// letters, digits and '_' pass through, and every other rune becomes one
+// '_'. Ranging over a string decodes each byte of invalid UTF-8 as its
+// own U+FFFD, so each such byte also becomes one '_'.
+func appendSanitizedOM(dst []byte, s string) []byte {
 	for _, c := range s {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			b.WriteRune(c)
+			dst = append(dst, byte(c))
 		default:
-			b.WriteRune('_')
+			dst = append(dst, '_')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// omUnit maps internal unit names to OpenMetrics unit suffixes.
-func omUnit(unit string) string {
-	switch unit {
-	case "ps":
-		return "picoseconds"
-	default:
-		return sanitizeOM(unit)
+// appendOMUnit appends the OpenMetrics unit suffix for an internal unit
+// name.
+func appendOMUnit(dst []byte, unit string) []byte {
+	if unit == "ps" {
+		return append(dst, "picoseconds"...)
 	}
+	return appendSanitizedOM(dst, unit)
 }
+
+// omChunk is the exposition's write granularity: lines are appended to
+// one reused buffer, which goes to the writer whenever it holds at least
+// this many bytes.
+const omChunk = 32 << 10
+
+// omTailMax bounds one sample line's tail, " <seconds>\n": a units.Time
+// is an int64 of picoseconds, so its %.9f seconds take at most a sign,
+// 7 integer digits, the point and 9 decimals.
+const omTailMax = 1 + 1 + 7 + 1 + 9 + 1
 
 // WriteOpenMetrics writes the full series as OpenMetrics exposition text:
 // one metric family per canonical metric name, one timestamped sample per
@@ -198,6 +212,16 @@ func WriteOpenMetricsFleet(w io.Writer, names []string, cells []Source) error {
 // archive totals) that belong in the same scrape as the fleet's
 // simulated metrics. extra must write complete OpenMetrics families
 // (TYPE header included) and may be nil.
+//
+// Each sample line is name{resource="…",family="…"[,cell="…"]} value
+// timestamp, with the labels quoted as %q quotes them, the value as %g
+// formats it and the timestamp as %.9f seconds. Everything but the value
+// repeats, so it is rendered once: a line prefix per member, a
+// timestamp per cell window. The inner loop appends prefix, value and
+// timestamp to a reused buffer that reaches w in omChunk-sized writes;
+// the buffer is flushed before extra runs, so extra's lines land in
+// order. Allocations depend on the instrument and cell counts, never on
+// the number of windows.
 func WriteOpenMetricsFleetWith(w io.Writer, names []string, cells []Source, extra func(io.Writer) error) error {
 	if len(names) != len(cells) {
 		return fmt.Errorf("metrics: %d cell names for %d sources", len(names), len(cells))
@@ -228,48 +252,95 @@ func WriteOpenMetricsFleetWith(w io.Writer, names []string, cells []Source, extr
 			g.members = append(g.members, member{cell: c, id: ID(i)})
 		}
 	}
+	// Per-cell text shared by every member: the cell label, and each
+	// retained window's line tail " <end seconds>\n" — window
+	// FirstWindow()+k's tail is tails[off[k]:off[k+1]].
+	type cellText struct {
+		label []byte
+		tails []byte
+		off   []int
+	}
+	texts := make([]cellText, len(cells))
+	for c, s := range cells {
+		t := &texts[c]
+		if names[c] != "" {
+			t.label = strconv.AppendQuote([]byte(",cell="), names[c])
+		}
+		first, total := s.FirstWindow(), s.Total()
+		t.tails = make([]byte, 0, (total-first)*omTailMax)
+		t.off = make([]int, 1, total-first+1)
+		for win := first; win < total; win++ {
+			t.tails = append(t.tails, ' ')
+			t.tails = strconv.AppendFloat(t.tails, s.WindowEnd(win).Seconds(), 'f', 9, 64)
+			t.tails = append(t.tails, '\n')
+			t.off = append(t.off, len(t.tails))
+		}
+	}
+
+	buf := make([]byte, 0, 2*omChunk)
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	var name, prefix []byte
 	for _, g := range groups {
-		name := "chiplet_" + sanitizeOM(g.metric)
-		unit := omUnit(g.unit)
-		kind := "gauge"
-		suffix := ""
+		name = appendSanitizedOM(append(name[:0], "chiplet_"...), g.metric)
+		kind, suffix := "gauge", ""
 		if g.kind == KindCounter {
-			kind = "counter"
-			suffix = "_total"
+			kind, suffix = "counter", "_total"
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n# UNIT %s %s\n", name, kind, name, unit); err != nil {
-			return err
-		}
+		buf = append(buf, "# TYPE "...)
+		buf = append(buf, name...)
+		buf = append(buf, ' ')
+		buf = append(buf, kind...)
+		buf = append(buf, "\n# UNIT "...)
+		buf = append(buf, name...)
+		buf = append(buf, ' ')
+		buf = appendOMUnit(buf, g.unit)
+		buf = append(buf, '\n')
 		for _, m := range g.members {
-			s := cells[m.cell]
+			s, t := cells[m.cell], &texts[m.cell]
 			d := s.Desc(int(m.id))
-			cellLabel := ""
-			if names[m.cell] != "" {
-				cellLabel = fmt.Sprintf(",cell=%q", names[m.cell])
-			}
-			first, total := s.FirstWindow(), s.Total()
+			prefix = append(append(prefix[:0], name...), suffix...)
+			prefix = append(prefix, "{resource="...)
+			prefix = strconv.AppendQuote(prefix, d.Resource)
+			prefix = append(prefix, ",family="...)
+			prefix = strconv.AppendQuote(prefix, d.Family)
+			prefix = append(prefix, t.label...)
+			prefix = append(prefix, "} "...)
+			first := s.FirstWindow()
 			cum := 0.0
-			for win := first; win < total; win++ {
-				v := s.Value(m.id, win)
+			for k := 0; k+1 < len(t.off); k++ {
+				v := s.Value(m.id, first+k)
 				if g.kind == KindCounter {
 					cum += v
 					v = cum
 				}
-				_, err := fmt.Fprintf(w, "%s%s{resource=%q,family=%q%s} %g %.9f\n",
-					name, suffix, d.Resource, d.Family, cellLabel, v, s.WindowEnd(win).Seconds())
-				if err != nil {
-					return err
+				buf = append(buf, prefix...)
+				buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+				buf = append(buf, t.tails[t.off[k]:t.off[k+1]]...)
+				if len(buf) >= omChunk {
+					if err := flush(); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
 	if extra != nil {
+		if err := flush(); err != nil {
+			return err
+		}
 		if err := extra(w); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintln(w, "# EOF")
-	return err
+	buf = append(buf, "# EOF\n"...)
+	return flush()
 }
 
 // WriteCSV writes the full series in long form: one row per

@@ -1,6 +1,7 @@
 // The fleet's HTTP surface. Every handler works from deep-copied cell
 // snapshots, so rendering — which can be slow for a big fleet — holds no
-// cell lock.
+// cell lock. Only /metrics and /bottlenecks render series, so only they
+// copy the mirrored series; the rest copy status and incidents.
 package serve
 
 import (
@@ -59,7 +60,7 @@ func (f *Fleet) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /correlate    cross-cell saturation order (?resource=NAME&top=K&format=json)")
 	fmt.Fprintln(w, "  /cells        cell status JSON")
 	fmt.Fprintln(w, "cells:")
-	for _, s := range f.Snapshots() {
+	for _, s := range f.snapshots(false) {
 		state := "running"
 		if s.Done {
 			state = "done"
@@ -156,7 +157,7 @@ func (f *Fleet) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	cell := r.URL.Query().Get("cell")
 	openOnly := r.URL.Query().Get("open") == "1"
 	out := []CellIncident{}
-	for _, s := range f.Snapshots() {
+	for _, s := range f.snapshots(false) {
 		if cell != "" && s.Name != cell {
 			continue
 		}
@@ -221,7 +222,7 @@ func (f *Fleet) handleBottlenecks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleCells(w http.ResponseWriter, r *http.Request) {
-	snaps := f.Snapshots()
+	snaps := f.snapshots(false)
 	if snaps == nil {
 		snaps = []Snapshot{}
 	}

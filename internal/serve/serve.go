@@ -235,7 +235,13 @@ type Snapshot struct {
 }
 
 // Snapshot deep-copies the cell's current state.
-func (c *Cell) Snapshot() Snapshot {
+func (c *Cell) Snapshot() Snapshot { return c.snapshot(true) }
+
+// snapshot copies the cell's status and incidents, and its mirrored
+// series only when withDump is set: the series is by far the largest
+// part (a sample slice per instrument), and only the endpoints that
+// render it need the copy.
+func (c *Cell) snapshot(withDump bool) Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Snapshot{
@@ -248,6 +254,9 @@ func (c *Cell) Snapshot() Snapshot {
 		Result:       c.result,
 	}
 	if c.dump != nil {
+		s.Windows = len(c.dump.StartsPS)
+	}
+	if c.dump != nil && withDump {
 		d := &metrics.Dump{
 			WindowPS: c.dump.WindowPS,
 			First:    c.dump.First,
@@ -261,7 +270,6 @@ func (c *Cell) Snapshot() Snapshot {
 			d.Instruments[i] = in
 		}
 		s.Dump = d
-		s.Windows = len(d.StartsPS)
 	}
 	if len(c.incidents) > 0 {
 		s.Incidents = make([]anomaly.Incident, len(c.incidents))
@@ -393,13 +401,17 @@ func (f *Fleet) AddStatic(name string, d *metrics.Dump, incidents []anomaly.Inci
 }
 
 // Snapshots deep-copies every cell, registration order.
-func (f *Fleet) Snapshots() []Snapshot {
+func (f *Fleet) Snapshots() []Snapshot { return f.snapshots(true) }
+
+// snapshots copies every cell, registration order; withDump selects
+// whether each copy carries the mirrored series (see Cell.snapshot).
+func (f *Fleet) snapshots(withDump bool) []Snapshot {
 	f.mu.Lock()
 	cells := append([]*Cell(nil), f.cells...)
 	f.mu.Unlock()
 	out := make([]Snapshot, len(cells))
 	for i, c := range cells {
-		out[i] = c.Snapshot()
+		out[i] = c.snapshot(withDump)
 	}
 	return out
 }
@@ -411,7 +423,7 @@ func (f *Fleet) Snapshots() []Snapshot {
 // incident's latest state, first-onset order.
 func (f *Fleet) Records() []anomaly.ArchiveRecord {
 	evs := f.hist.Events()
-	for _, s := range f.Snapshots() {
+	for _, s := range f.snapshots(false) {
 		for _, in := range s.Incidents {
 			evs = append(evs, anomaly.ArchiveRecord{
 				Cell: s.Name, Round: s.Round, Event: anomaly.EventUpdate, Incident: in,

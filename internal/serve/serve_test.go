@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,33 @@ func TestMirrorRetentionCap(t *testing.T) {
 	if got, want := s.Dump.WindowStart(3), 3*win; got != want {
 		t.Errorf("oldest retained window starts at %v, want %v", got, want)
 	}
+}
+
+// TestStatusSnapshotSkipsOnlySeries: the series-free snapshot behind
+// /, /cells, /incidents and /correlate must equal the deep copy in every
+// field but the series itself — before the first window, mid-run with an
+// open incident, and after the mirror's retention cap has cut windows.
+func TestStatusSnapshotSkipsOnlySeries(t *testing.T) {
+	fleet := serve.NewFleet()
+	c := newCellFixture(fleet, "cell0", 4)
+	check := func(stage string) {
+		t.Helper()
+		want := c.cell.Snapshot()
+		want.Dump = nil
+		if got := c.cell.StatusSnapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: status snapshot = %+v, want %+v", stage, got, want)
+		}
+	}
+	check("before the first window")
+	c.play(0.01, 0.02, 5.0, 5.5)
+	if s := c.cell.Snapshot(); s.OpenNow == 0 {
+		t.Fatalf("fixture opened no incident: %+v", s)
+	}
+	check("open incident")
+	c.play(0.01, 0.02, 0.01, 0.01)
+	c.reg.Stop()
+	c.cell.Finish("done", nil)
+	check("finished, capped")
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (string, string) {

@@ -51,11 +51,17 @@ func TestExecutedCounts(t *testing.T) {
 }
 
 // clusterTrace runs a deterministic cross-domain ping-pong workload and
-// records every event execution as (domain, time, rng draw) lines. Equal
-// traces across worker counts prove that the epoch machinery is invisible
-// to the simulation: same event order, same per-domain clocks, same RNG
-// streams.
-func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) []string {
+// records every event execution as (domain, time, rng draw) lines, one
+// trace per zone plus one for the control engine: traces[i] is zone i's,
+// traces[zones] the control's. Each zone's trace is appended only by
+// events running on that zone, so zones running concurrently never share
+// a slice. Each control line also records how many events every zone had
+// traced when it fired, pinning the control event's placement against
+// every zone's stream. Equal traces across worker counts prove that the
+// epoch machinery is invisible to the simulation: same per-zone event
+// order, same per-domain clocks, same RNG streams, same control
+// placement.
+func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) [][]string {
 	t.Helper()
 	const look = units.Time(900)
 	cl := NewCluster(42, zones, look, workers)
@@ -64,7 +70,7 @@ func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) []str
 	// host (where auto-degrade would otherwise force the serial loop), so
 	// both dispatch mechanisms are exercised and compared.
 	cl.SetAutoDegrade(adaptive)
-	var trace []string
+	traces := make([][]string, zones+1)
 	post := make([][]func(units.Time, func()), zones)
 	for src := 0; src < zones; src++ {
 		post[src] = make([]func(units.Time, func()), zones)
@@ -78,14 +84,14 @@ func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) []str
 	hop = func(src, dst, depth int) func() {
 		return func() {
 			z := cl.Zone(dst)
-			trace = append(trace, fmt.Sprintf("z%d t=%d r=%d", dst, z.Now(), z.Rand().Intn(1000)))
+			traces[dst] = append(traces[dst], fmt.Sprintf("z%d t=%d r=%d", dst, z.Now(), z.Rand().Intn(1000)))
 			if depth == 0 {
 				return
 			}
 			// Local work at an RNG-chosen offset, then bounce to the next
 			// domain after the link latency.
 			z.After(units.Time(z.Rand().Intn(300)), func() {
-				trace = append(trace, fmt.Sprintf("z%d t=%d local", dst, z.Now()))
+				traces[dst] = append(traces[dst], fmt.Sprintf("z%d t=%d local", dst, z.Now()))
 			})
 			next := (dst + 1) % zones
 			at := z.Now() + look + units.Time(z.Rand().Intn(200))
@@ -95,12 +101,18 @@ func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) []str
 	for i := 0; i < zones; i++ {
 		cl.Zone(i).At(units.Time(i*37), hop(i, i, rounds))
 	}
-	// Control events interleave at epoch barriers; include them in the
-	// trace so their placement is checked too.
+	// Control events interleave at epoch barriers, never concurrently
+	// with a zone, and every zone has executed exactly its events at or
+	// before the control event's time when it fires — so the zone trace
+	// lengths it records are deterministic.
 	for k := 0; k < 5; k++ {
 		at := units.Time(k * 7000)
 		cl.Control().At(at, func() {
-			trace = append(trace, fmt.Sprintf("ctl t=%d", at))
+			seen := make([]int, zones)
+			for i := range seen {
+				seen[i] = len(traces[i])
+			}
+			traces[zones] = append(traces[zones], fmt.Sprintf("ctl t=%d seen=%v", at, seen))
 		})
 	}
 	end := units.Time(rounds)*2000 + 20000
@@ -113,27 +125,37 @@ func clusterTrace(t *testing.T, zones, workers, rounds int, adaptive bool) []str
 			t.Fatalf("zone %d parked at %v, want %v", i, cl.Zone(i).Now(), end)
 		}
 	}
-	return trace
+	return traces
 }
 
 func TestClusterDeterminism(t *testing.T) {
-	base := clusterTrace(t, 4, 1, 40, true)
-	if len(base) == 0 {
-		t.Fatal("workload produced no events")
+	const zones = 4
+	base := clusterTrace(t, zones, 1, 40, true)
+	for i, tr := range base {
+		if len(tr) == 0 {
+			t.Fatalf("trace %d of the serial run is empty", i)
+		}
 	}
 	// Every worker count, through both dispatch mechanisms: the pinned
 	// worker barrier (adaptive=false) and whatever auto-degrade chooses
-	// (adaptive=true — the forced serial loop on a single-P host). All must
-	// replay the serial trace exactly.
+	// (adaptive=true — the forced serial loop on a single-P host). Every
+	// zone's trace and the control trace must replay the serial run's
+	// exactly.
 	for _, workers := range []int{2, 4, 8} {
 		for _, adaptive := range []bool{false, true} {
-			got := clusterTrace(t, 4, workers, 40, adaptive)
-			if len(got) != len(base) {
-				t.Fatalf("workers=%d adaptive=%v: %d events, serial ran %d", workers, adaptive, len(got), len(base))
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("workers=%d adaptive=%v: event %d = %q, serial = %q", workers, adaptive, i, got[i], base[i])
+			got := clusterTrace(t, zones, workers, 40, adaptive)
+			for z := range base {
+				who := fmt.Sprintf("zone %d", z)
+				if z == zones {
+					who = "control"
+				}
+				if len(got[z]) != len(base[z]) {
+					t.Fatalf("workers=%d adaptive=%v: %s ran %d events, serial ran %d", workers, adaptive, who, len(got[z]), len(base[z]))
+				}
+				for i := range base[z] {
+					if got[z][i] != base[z][i] {
+						t.Fatalf("workers=%d adaptive=%v: %s event %d = %q, serial = %q", workers, adaptive, who, i, got[z][i], base[z][i])
+					}
 				}
 			}
 		}
