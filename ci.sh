@@ -23,14 +23,11 @@ GOMAXPROCS=2 go test -count=1 ./...
 # (TestPinnedRetentionRaceFree).
 # internal/metrics rides along: its registry is engine-local and must
 # stay safe under the parallel experiment orchestrator.
-# internal/link rides along for the partitioned engine's cross-domain
-# delivery reroute (Channel.SetPost/SendPost feed the epoch mailboxes).
-# The harness package includes the -domains 4 guards: the epoch-barrier
-# mailbox hammer (TestDomainsCellRace, TestEpochMailboxRace); the
-# byte-identity determinism sweeps skip themselves under -race (their
-# assertions are race-agnostic) to keep this leg within budget. The
-# explicit -timeout covers single-core hosts, where the race-instrumented
-# harness suite can exceed go test's 600s default.
+# The harness package runs cells on the parallel orchestrator; its
+# full-length ledger test skips itself under -race (its assertions are
+# race-agnostic) to keep this leg within budget. The explicit -timeout
+# covers single-core hosts, where the race-instrumented harness suite can
+# exceed go test's 600s default.
 # internal/anomaly rides along: detectors run inside the OnHarvest hook
 # of engine-local registries under the parallel orchestrator.
 # internal/serve IS the concurrency: its mirror is written from cell
@@ -100,26 +97,6 @@ if echo "$bench" | grep 'BenchmarkEngine' | grep -qv ' 0 allocs/op'; then
     exit 1
 fi
 
-# The conservative cluster's epoch barrier must not allocate either:
-# mailbox buffers and the active list are reused, worker goroutines
-# persist across runs instead of respawning, and the adaptive bound
-# negotiation (distance matrix, slack sampling, EWMA) is flat arithmetic.
-bench=$(go test ./internal/sim/ -run '^$' -bench 'BenchmarkEpochBarrier' -benchtime 2000x)
-echo "$bench"
-if echo "$bench" | grep 'BenchmarkEpochBarrier' | grep -qv ' 0 allocs/op'; then
-    echo "epoch barrier allocates on the steady-state path" >&2
-    exit 1
-fi
-
-# Cluster-overhead gate: pinned to one processor, the partitioned engine's
-# epoch machinery (bound negotiation, batched mailbox drains, the serial
-# dispatch auto-degrade selects) must keep the full 7302 inter-CC IF cell
-# within 1.15x of the -domains 1 wall clock. The -race leg above already
-# covers the batched-mailbox drain path (TestDomainsCellRace and
-# TestEpochMailboxRace run the worker barrier with the race detector on);
-# this leg is about cost, so it runs uninstrumented.
-CHIPLET_CLUSTER_GATE=1 GOMAXPROCS=1 go test ./internal/harness/ -run TestClusterOverheadGate -v -count=1 -timeout 600s
-
 # The whole transaction pipeline must be allocation-free in steady state:
 # every DestKind x Op case, unloaded and loaded.
 bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkNetworkIssue' -benchtime 5000x)
@@ -129,22 +106,12 @@ if echo "$bench" | grep 'BenchmarkNetworkIssue' | grep -qv ' 0 allocs/op'; then
     exit 1
 fi
 
-# The express-path fusion layer must be allocation-free too: fused
-# segments ride recycled walker frames, in-place departure-stamp rings
-# and memoized serialization times — no closure or ring growth in steady
-# state.
-bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkExpressPath' -benchtime 5000x)
-echo "$bench"
-if echo "$bench" | grep 'BenchmarkExpressPath' | grep -qv ' 0 allocs/op'; then
-    echo "express-path fusion allocates on the steady-state path" >&2
-    exit 1
-fi
+# Event-ledger gate: the full-length 7302 inter-CC IF and 9634 IF cells
+# (seed 42, case 3) must dispatch and elide exactly the recorded event
+# counts. The ledger is seed-exact, so the gate is deterministic, unlike
+# wall clocks on shared hosts.
+go test ./internal/harness/ -run '^TestFlagshipCellLedger$' -v -count=1 -timeout 600s
 
-# Fusion-effectiveness gate: the full-length 7302 inter-CC IF cell must
-# elide >= 40% of its classic-equivalent event load (>= 1.5x
-# classic-equivalent events advanced per executed event, >= 50% of the
-# per-message depart/delivery pairs). The ledger is seed-exact, so the
-# gate is deterministic — wall clocks on shared hosts are not, which is
-# why the events-per-second claim is gated through the event counts that
-# compose it rather than a timed run.
-CHIPLET_FUSION_GATE=1 go test ./internal/harness/ -run TestFusionEffectivenessGate -v -count=1 -timeout 600s
+# Golden gate: the default reproduce run must match the committed
+# reproduce_output.txt byte for byte (about 40 s on 2 cores).
+go run ./cmd/reproduce | cmp - reproduce_output.txt

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -34,104 +35,69 @@ type benchReport struct {
 	// allocs/txn) of the core issue path, keyed "kind/op/load" — the
 	// whole-pipeline counterpart of the engine micro-benchmarks.
 	NetworkIssue map[string]benchMeasurement `json:"network_issue"`
-	// CellThroughput times one full Figure 4 cell on the partitioned
-	// engine at 1, 2 and 4 domain workers, once per -gomaxprocs value
-	// (see benchCellThroughput).
-	CellThroughput   []cellThroughput `json:"cell_throughput"`
-	ReproduceScale   int              `json:"reproduce_scale"`
-	ReproduceSeconds float64          `json:"reproduce_seconds"`
+	// CellThroughput times the flagship Figure 4 cell end to end (see
+	// benchCellThroughput).
+	CellThroughput   cellThroughput `json:"cell_throughput"`
+	ReproduceScale   int            `json:"reproduce_scale"`
+	ReproduceSeconds float64        `json:"reproduce_seconds"`
 }
 
-// cellThroughput is one cell-level throughput row: a full Figure 4 cell
-// timed end to end at a fixed domain-worker count. GoMaxProcs is stamped
-// per row so single-core and multi-core trajectories are distinguishable;
-// Epochs/EventsPerEpoch/SerialEpochShare expose the adaptive epoch
-// scheduler's coordination cost (how much work each barrier buys, and how
-// often auto-degrade chose the serial fast path).
-// Events and EventsPerSec count executed calendar events — the engine's
-// dispatch cost. EventsFused counts the classic-equivalent events
-// express-path fusion elided (closed-form hops and departure stamps);
-// FusionRate is the elided share of the classic-equivalent total, and
-// EffectiveEventsPerSec is that total over wall time — simulated progress
-// per second, the number to compare against pre-fusion baselines (where
-// EventsFused is 0 and the two rates coincide).
+// cellThroughput is the flagship cell's cost: CPU seconds (user+system,
+// getrusage) beside wall seconds, the events the engine dispatched, the
+// channel depart events departure stamps elided, and simulated time per
+// CPU-second — the headline rate. Elided events are a diagnostic, not
+// throughput: they count work the simulator avoided.
 type cellThroughput struct {
-	Domains               int     `json:"domains"`
-	GoMaxProcs            int     `json:"gomaxprocs"`
-	Seconds               float64 `json:"seconds"`
-	Events                uint64  `json:"events"`
-	EventsFused           uint64  `json:"events_fused"`
-	FusionRate            float64 `json:"fusion_rate"`
-	EventsPerSec          float64 `json:"events_per_sec"`
-	EffectiveEventsPerSec float64 `json:"effective_events_per_sec"`
-	Speedup               float64 `json:"speedup_vs_serial"`
-	Epochs                uint64  `json:"epochs"`
-	EventsPerEpoch        float64 `json:"events_per_epoch"`
-	SerialEpochShare      float64 `json:"serial_epoch_share"`
-	MailboxPosts          uint64  `json:"mailbox_posts"`
-	Degrades              uint64  `json:"degrades"`
-	Expands               uint64  `json:"expands"`
+	Cell         string  `json:"cell"`
+	CPUSeconds   float64 `json:"cpu_seconds"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	Events       uint64  `json:"events"`
+	EventsFused  uint64  `json:"events_fused"`
+	SimUS        float64 `json:"sim_us"`
+	SimUSPerCPUS float64 `json:"sim_us_per_cpu_s"`
+}
+
+// cpuSeconds reports the process's user+system CPU time.
+func cpuSeconds() (float64, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, err
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9, nil
 }
 
 // benchCellThroughput times one full Figure 4 cell — the 7302 inter-CC
-// IF scenario under equal over-subscribing demands, the cell with the
-// most concurrently-busy domains (two source chiplets, the target
-// chiplet and the I/O-die hub) — on the partitioned engine with 1, 2
-// and 4 domain workers, repeated for each requested GOMAXPROCS value.
-// Events/sec divides the executed simulation events by wall time;
-// speedup is relative to the serial -domains 1 run of the identical
-// epoch schedule at the same GOMAXPROCS. Every row computes
-// byte-identical results; only the wall time may differ. On a
-// single-core run the parallel rows cannot win (the lockstep epochs
-// just take turns on one P) and the cluster auto-degrades to serial
-// dispatch — expect Degrades > 0 and a SerialEpochShare near 1 on the
-// gomaxprocs=1 rows; that is the machinery working, not a bug.
-func benchCellThroughput(gmps []int) ([]cellThroughput, error) {
+// IF scenario under equal over-subscribing demands (seed 42, full
+// length), the cell the simulator's speed is judged on.
+func benchCellThroughput() (cellThroughput, error) {
 	sc := harness.Figure4Scenarios()[3]
 	c := harness.Fig4Cases()[2]
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var out []cellThroughput
-	for _, g := range gmps {
-		runtime.GOMAXPROCS(g)
-		var serial float64
-		for _, d := range []int{1, 2, 4} {
-			opt := harness.Options{Seed: 42, TimeScale: 1, Domains: d}
-			start := time.Now()
-			_, perf, err := harness.Figure4CellThroughput(sc, c, opt)
-			if err != nil {
-				return nil, err
-			}
-			secs := time.Since(start).Seconds()
-			eps := float64(perf.Events) / secs
-			if d == 1 {
-				serial = eps
-			}
-			total := perf.Events + perf.Fused
-			cs := perf.Cluster
-			row := cellThroughput{
-				Domains: d, GoMaxProcs: g,
-				Seconds: secs, Events: perf.Events,
-				EventsFused:           perf.Fused,
-				FusionRate:            float64(perf.Fused) / float64(total),
-				EventsPerSec:          eps,
-				EffectiveEventsPerSec: float64(total) / secs,
-				Speedup:               eps / serial,
-				Epochs:                cs.Epochs,
-				MailboxPosts:          cs.Posted,
-				Degrades:              cs.Degrades,
-				Expands:               cs.Expands,
-			}
-			if cs.Epochs > 0 {
-				row.EventsPerEpoch = float64(perf.Events) / float64(cs.Epochs)
-				row.SerialEpochShare = float64(cs.SerialEpochs) / float64(cs.Epochs)
-			}
-			out = append(out, row)
-			fmt.Printf("CellThroughput gomaxprocs=%d domains=%d  %.2fs  %d events + %d fused (%.0f%% elided)  %.0f events/s (%.0f effective)  %.2fx  %d epochs  %.0f ev/epoch  %.0f%% serial-dispatch\n",
-				g, d, secs, perf.Events, perf.Fused, 100*row.FusionRate, eps, row.EffectiveEventsPerSec, row.Speedup, cs.Epochs, row.EventsPerEpoch, 100*row.SerialEpochShare)
-		}
+	cpu0, err := cpuSeconds()
+	if err != nil {
+		return cellThroughput{}, err
 	}
-	return out, nil
+	start := time.Now()
+	_, perf, err := harness.Figure4CellThroughput(sc, c, harness.Options{Seed: 42, TimeScale: 1})
+	if err != nil {
+		return cellThroughput{}, err
+	}
+	wall := time.Since(start).Seconds()
+	cpu1, err := cpuSeconds()
+	if err != nil {
+		return cellThroughput{}, err
+	}
+	row := cellThroughput{
+		Cell:        sc.Profile().Name + " " + sc.Link + " " + c.Name,
+		CPUSeconds:  cpu1 - cpu0,
+		WallSeconds: wall,
+		Events:      perf.Events,
+		EventsFused: perf.Fused,
+		SimUS:       perf.Sim.Microseconds(),
+	}
+	row.SimUSPerCPUS = row.SimUS / row.CPUSeconds
+	fmt.Printf("CellThroughput %s  %.2fs cpu  %.2fs wall  %d events + %d fused  %.0f sim us/cpu-s\n",
+		row.Cell, row.CPUSeconds, row.WallSeconds, row.Events, row.EventsFused, row.SimUSPerCPUS)
+	return row, nil
 }
 
 // benchNetworkIssue measures every DestKind x Op transaction shape on the
@@ -194,7 +160,7 @@ func measure(r testing.BenchmarkResult) benchMeasurement {
 // runBenchSuite mirrors the internal/sim benchmarks (single-event churn
 // and wide fanout) and times the full experiment suite at -scale 8, then
 // writes the JSON report.
-func runBenchSuite(path string, gmps []int) error {
+func runBenchSuite(path string) error {
 	churn := testing.Benchmark(func(b *testing.B) {
 		e := sim.New(1)
 		b.ReportAllocs()
@@ -228,7 +194,7 @@ func runBenchSuite(path string, gmps []int) error {
 
 	netIssue := benchNetworkIssue()
 
-	cells, err := benchCellThroughput(gmps)
+	cell, err := benchCellThroughput()
 	if err != nil {
 		return err
 	}
@@ -247,7 +213,7 @@ func runBenchSuite(path string, gmps []int) error {
 		EngineEventChurn: measure(churn),
 		EngineHeapFanout: measure(fanout),
 		NetworkIssue:     netIssue,
-		CellThroughput:   cells,
+		CellThroughput:   cell,
 		ReproduceScale:   scale,
 		ReproduceSeconds: elapsed.Seconds(),
 	}

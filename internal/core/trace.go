@@ -2,7 +2,7 @@
 // internal/trace; this file attaches it to every channel, token pool and
 // device of a Network, registers the path stages only the issuing layer
 // can see (CCM, LLC lookups, intra/inter-chiplet fabric slack), and
-// provides the nil-guarded helpers the path walkers in issue.go call.
+// provides the nil-guarded helpers the path walkers in walker.go call.
 //
 // The guarantee maintained here is exact tiling: the spans recorded for
 // one transaction cover [Issued, Completed] with no gaps and no overlaps,
@@ -27,13 +27,6 @@ import (
 func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		panic("core: nil tracer")
-	}
-	if n.cl != nil {
-		// Exact span tiling assumes the single-engine event order; traced
-		// cells therefore always run classic (the harness forces it), and
-		// wiring a tracer into a partitioned network is a programming
-		// error, not a degraded mode.
-		panic("core: flight recorder requires a classic (single-engine) network")
 	}
 	n.tracer = tr
 	n.noc.AttachTracer(tr)
@@ -146,53 +139,6 @@ func (n *Network) trHubHops(shops, hub, rc units.Time) {
 		return
 	}
 	now := n.eng.Now()
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-rc-hub-shops, now-rc-hub)
-	n.tracer.Range(n.noc.IOHubHop(), trace.CauseProcessing, now-rc-hub, now-rc)
-	n.tracer.Range(n.noc.RootHop(), trace.CauseProcessing, now-rc, now)
-}
-
-// The walker-clock variants below anchor on w.vnow instead of the engine
-// clock: a fused state runs at a virtual timestamp ahead of the engine,
-// and its spans must carry the stamps the classic execution would have
-// recorded. At a real resumption vnow equals the engine clock, so these
-// are drop-in replacements for the Network helpers on every walker path.
-
-// trBefore attributes the d just elapsed before the walker's virtual
-// clock to a stage.
-func (w *walker) trBefore(hop trace.HopID, cause trace.Cause, d units.Time) {
-	if n := w.n; n.tracer != nil {
-		n.tracer.Range(hop, cause, w.vnow-d, w.vnow)
-	}
-}
-
-// trAfter attributes the d about to elapse after the walker's virtual
-// clock to a stage.
-func (w *walker) trAfter(hop trace.HopID, cause trace.Cause, d units.Time) {
-	if n := w.n; n.tracer != nil {
-		n.tracer.Range(hop, cause, w.vnow, w.vnow+d)
-	}
-}
-
-// trMeshHops retroactively attributes a memory-path NoC crossing that
-// just completed at the walker's virtual clock.
-func (w *walker) trMeshHops(shops, cs units.Time) {
-	n := w.n
-	if n.tracer == nil {
-		return
-	}
-	now := w.vnow
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-cs-shops, now-cs)
-	n.tracer.Range(n.noc.CSHop(), trace.CauseProcessing, now-cs, now)
-}
-
-// trHubHops retroactively attributes a device-path NoC crossing that just
-// completed at the walker's virtual clock.
-func (w *walker) trHubHops(shops, hub, rc units.Time) {
-	n := w.n
-	if n.tracer == nil {
-		return
-	}
-	now := w.vnow
 	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-rc-hub-shops, now-rc-hub)
 	n.tracer.Range(n.noc.IOHubHop(), trace.CauseProcessing, now-rc-hub, now-rc)
 	n.tracer.Range(n.noc.RootHop(), trace.CauseProcessing, now-rc, now)

@@ -18,35 +18,6 @@ import (
 // runDRAM/runCXL/runLLCIntra/runLLCInter walkers unrolled: each case is one
 // event callback, in the same order, with the same tracer attributions and
 // the same random draws. Changing the sequence changes seeded replay.
-//
-// zi tracks which partition domain the walker currently executes in: every
-// engine access (Now, After, RNG, jitter, free lists) resolves through it,
-// and it advances when a step's continuation crosses a domain (a GMI or
-// NoC response delivery). In classic mode zi is always 0 and every lookup
-// resolves to the single engine, so both modes share this code unchanged.
-//
-// # Express-path event fusion
-//
-// Uncontended hops have closed-form timing: a message that finds a channel
-// idle departs at v+txTime and arrives latency+extra later, with no event
-// needed to discover either stamp. The walker therefore runs each state at
-// a virtual clock vnow. At a calendar resumption (stepEvent) vnow equals
-// the engine clock and the engine's ExpressFence is captured; from there
-// every continuation first tries to extend the fused segment — TryExpress
-// applies the hop's serializer/telemetry/trace bookkeeping in closed form
-// and the next state executes inline at the arrival stamp — for as long as
-// all stamps stay strictly inside the fence. Engine state is only observed
-// by calendar events (all at or beyond the fence) and by the host at the
-// drive horizon (which caps the fence), so the early application is
-// provably invisible: completion times, RNG streams, span order, FIFO
-// order and every counter are byte-identical to classic execution. The
-// segment ends — and a real calendar event rematerializes at the exact
-// classic timestamp — the moment a hop is busy, a stamp would reach the
-// fence (which is how harvest windows and every other observer are
-// protected), a cluster-domain crossing begins (fused segments never span
-// zones), or the next state is terminal (finish releases tokens and runs
-// done callbacks whose synchronous continuations must observe the real
-// engine clock).
 type walker struct {
 	n    *Network
 	t    *txn.Transaction
@@ -63,10 +34,8 @@ type walker struct {
 	id             uint64 // trace attribution: t.ID, or 0 for writebacks
 	wb             bool   // asynchronous dirty-writeback walker
 
-	phase  int
-	state  int
-	zi     int // domain the walker currently executes in
-	pushZi int // domain the in-flight push's delivery lands in
+	phase int
+	state int
 
 	// Path constants computed on entry (former walker locals).
 	shops    units.Time     // switch-hop delay run
@@ -79,30 +48,8 @@ type walker struct {
 	pExtra  units.Time
 	blocked units.Time
 
-	// Express-path state: vnow is the walker's virtual clock (equal to
-	// the engine clock at every real resumption, ahead of it while a
-	// fused segment extends), fence the exclusive bound under which
-	// closed-form stamps stay invisible, fence1 the relaxed bound for
-	// hops applied at the real clock (see chanFence), express whether
-	// the current continuation may keep fusing, pendOp the channel
-	// operation an aborted segment rematerializes at vnow. The strict
-	// fence needs a calendar scan (Engine.NextAt), so it is computed on
-	// first use (strictFence): most events resolve entirely through the
-	// relaxed first-hop bound and never pay for it. Laziness is sound
-	// because the calendar only gains events between the resumption and
-	// the first use — a late NextAt is never larger than an eager one,
-	// so the fence can only tighten.
-	vnow    units.Time
-	fence   units.Time
-	fence1  units.Time
-	fenceOK bool
-	express bool
-	pendOp  int
-
-	stepFn  func() // bound w.step: synchronous resumption, never fuses
-	eventFn func() // bound w.stepEvent: calendar resumption, may fuse
+	stepFn  func() // bound w.step: every resumption, timer or delivery
 	retryFn func() // bound w.attempt, reused for every retry
-	flushFn func() // bound w.flush: rematerialized channel op at vnow
 }
 
 // Walker phases: acquire flow windows, acquire hardware tokens, then walk
@@ -113,41 +60,26 @@ const (
 	phasePath
 )
 
-// Channel operations a fused segment rematerializes when a hop cannot be
-// applied in closed form (see exitExpress/flush).
-const (
-	opPush    = iota // bounded admission with retry (pushTo)
-	opSend           // unconditional send (responses, device legs)
-	opRespond        // NoC response with an explicit cross-domain post
-	opSendNil        // writeback tail: send with no delivery, then recycle
-)
-
-// getWalker pops a recycled walker from domain zi's free list or builds a
-// fresh one. The method closures are the only per-walker allocations,
-// paid once per free-list entry for the lifetime of the network.
-func (n *Network) getWalker(zi int) *walker {
-	z := n.zones[zi]
+// getWalker pops a recycled walker from the free list or builds a fresh
+// one. The method closures are the only per-walker allocations, paid once
+// per free-list entry for the lifetime of the network.
+func (n *Network) getWalker() *walker {
 	if n.recycle {
-		if ln := len(z.freeW); ln > 0 {
-			w := z.freeW[ln-1]
-			z.freeW[ln-1] = nil
-			z.freeW = z.freeW[:ln-1]
-			w.zi = zi
+		if ln := len(n.freeW); ln > 0 {
+			w := n.freeW[ln-1]
+			n.freeW[ln-1] = nil
+			n.freeW = n.freeW[:ln-1]
 			return w
 		}
 	}
-	w := &walker{n: n, zi: zi}
+	w := &walker{n: n}
 	w.stepFn = w.step
-	w.eventFn = w.stepEvent
 	w.retryFn = w.attempt
-	w.flushFn = w.flush
 	return w
 }
 
-// putWalker recycles a finished walker onto the free list of the domain it
-// finished in (walkers migrate with their transactions; the frames are
-// domain-agnostic), dropping object references so the free list pins
-// nothing.
+// putWalker recycles a finished walker onto the free list, dropping object
+// references so the free list pins nothing.
 func (n *Network) putWalker(w *walker) {
 	if !n.recycle {
 		return
@@ -157,38 +89,13 @@ func (n *Network) putWalker(w *walker) {
 	w.hw = nil
 	w.extra = nil
 	w.ch = nil
-	z := n.zones[w.zi]
-	z.freeW = append(z.freeW, w)
+	n.freeW = append(n.freeW, w)
 }
 
-// step is the synchronous continuation: token grants and in-event handoffs
-// fire here, inside another callback's chain. Code later in that same
-// chain may still mutate state at this timestamp, so no future effect may
-// be applied early — the virtual clock rebases to the engine clock and
-// express mode stays off until the next calendar resumption.
+// step selects the walker's next action from the (phase, state) pair. It
+// is the one continuation every token grant, timer and channel delivery
+// resumes the walker through.
 func (w *walker) step() {
-	w.express = false
-	w.vnow = w.n.zones[w.zi].eng.Now()
-	w.dispatch()
-}
-
-// stepEvent is the calendar continuation: channel deliveries, timers and
-// mailbox handoffs fire here, directly from the engine loop. Nothing else
-// runs at this timestamp after it returns except other calendar events,
-// which all lie at or beyond the express fence — so the walker may apply
-// hops whose stamps stay strictly inside the fence in closed form.
-func (w *walker) stepEvent() {
-	z := w.n.zones[w.zi]
-	w.vnow = z.eng.Now()
-	if w.express = w.n.express; w.express {
-		w.fence1 = z.eng.LimitFence()
-		w.fenceOK = false
-	}
-	w.dispatch()
-}
-
-// dispatch selects the walker's next action from the (phase, state) pair.
-func (w *walker) dispatch() {
 	switch w.phase {
 	case phaseExtra:
 		if w.acq < len(w.extra) {
@@ -202,7 +109,7 @@ func (w *walker) dispatch() {
 		// curves include those stalls — that is what the Table 2 "Max
 		// CCX Q" rows are), but not time spent queued behind a software
 		// flow window.
-		w.t.Issued = w.vnow
+		w.t.Issued = w.n.eng.Now()
 		w.n.trSet(w.id)
 		w.phase = phaseHW
 		w.acq = 0
@@ -238,280 +145,68 @@ func (w *walker) pathStep() {
 	}
 }
 
-// noteFused adjusts the current domain engine's fused-event counter.
-func (w *walker) noteFused(d int64) {
-	w.n.zones[w.zi].eng.NoteFused(d)
-}
-
-// chanFence is the proof bound for the hop the walker is about to apply
-// in closed form. A hop applied while the virtual clock still equals the
-// engine clock writes exactly what a classic enqueue at this instant
-// would write — the serializer bookkeeping is not early, only the depart
-// event is elided, and the channel's occupancy accounting keeps even that
-// invisible — so only the drive horizon needs protecting. A hop applied
-// ahead of the engine clock is genuinely early and must stay below the
-// next calendar event.
-func (w *walker) chanFence() units.Time {
-	if w.vnow == w.n.zones[w.zi].eng.Now() {
-		return w.fence1
-	}
-	return w.strictFence()
-}
-
-// strictFence returns the express fence for stamps ahead of the engine
-// clock, computing it on first use per calendar resumption. Fused
-// segments never change zones while express stays on (cross-domain hops
-// end the segment first), so the engine consulted here is the one the
-// resumption started on.
-func (w *walker) strictFence() units.Time {
-	if !w.fenceOK {
-		w.fence = w.n.zones[w.zi].eng.ExpressFence()
-		w.fenceOK = true
-	}
-	return w.fence
-}
-
-// expressible reports whether the walker's next state may execute at a
-// virtual timestamp. Terminal states may not: finish releases tokens and
-// runs done callbacks whose synchronous continuations (pool wakeups,
-// closed-loop reissues) must observe the real engine clock. The
-// writeback tail is the exception — it touches no tokens and completes
-// nobody, and handles its own express case.
-func (w *walker) expressible() bool {
-	if w.wb {
-		return true
-	}
-	switch w.a.Kind {
-	case DestDRAM:
-		return w.state != 7
-	case DestCXL:
-		return w.state != 8
-	case DestLLCIntra:
-		return w.state != 2
-	case DestLLCInter:
-		return w.state != 8
-	}
-	return false
-}
-
-// resume continues the walker at absolute time at. In express mode, with
-// at strictly inside the fence and a non-terminal next state, the state
-// executes inline at virtual time at — the continuation event is elided.
-// Otherwise the walker leaves express mode and the continuation runs as a
-// real calendar event at exactly the classic timestamp.
-func (w *walker) resume(at units.Time) {
-	if w.express && at < w.strictFence() && w.expressible() {
-		w.noteFused(1)
-		w.vnow = at
-		w.pathStep()
-		return
-	}
-	w.express = false
-	w.n.zones[w.zi].eng.At(at, w.eventFn)
-}
-
-// after continues the walker d after its virtual clock (negative d clamps
-// to zero, matching Engine.After).
-func (w *walker) after(d units.Time) {
-	if d < 0 {
-		d = 0
-	}
-	if w.express {
-		w.resume(w.vnow + d)
-		return
-	}
-	w.n.zones[w.zi].eng.After(d, w.eventFn)
-}
-
-// xsend sends unconditionally on ch with the walker's step as the
-// delivery, landing in domain toZi. In express mode the hop is applied in
-// closed form when the channel admits it; a delivery that crosses domains
-// still rides the mailbox (fused segments never span zones), ending the
-// segment.
-func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time, toZi int) {
-	if w.express {
-		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.zi = toZi
-			if ch.Posted() {
-				w.express = false
-				ch.Deliver(arrive, w.eventFn)
-				return
-			}
-			w.resume(arrive)
-			return
-		}
-		w.ch, w.size, w.pExtra, w.pushZi = ch, size, extra, toZi
-		w.exitExpress(opSend)
-		return
-	}
-	w.zi = toZi
-	ch.SendAfter(size, extra, w.eventFn)
-}
-
-// exitExpress aborts a fused segment at a hop that cannot be applied in
-// closed form. The pending channel operation must still execute at its
-// classic timestamp: immediately when the walker's virtual clock has not
-// left the engine clock, otherwise as a rematerialized calendar event at
-// vnow — un-counting the continuation that was elided to get here.
-func (w *walker) exitExpress(op int) {
-	w.pendOp = op
-	w.express = false
-	z := w.n.zones[w.zi]
-	if w.vnow > z.eng.Now() {
-		w.noteFused(-1)
-		z.eng.At(w.vnow, w.flushFn)
-		return
-	}
-	w.flush()
-}
-
-// flush performs the channel operation an aborted fused segment carried,
-// at the walker's (now real) virtual timestamp — byte-identical to the
-// classic state having executed here.
-func (w *walker) flush() {
-	n := w.n
-	n.trSet(w.id)
-	switch w.pendOp {
-	case opPush:
-		w.attempt()
-	case opSend:
-		w.zi = w.pushZi
-		w.ch.SendAfter(w.size, w.pExtra, w.eventFn)
-	case opRespond:
-		w.zi = w.pushZi
-		n.noc.Read.SendPost(w.size, w.pExtra, w.eventFn, n.postHub[w.a.Src.CCD])
-	case opSendNil:
-		w.ch.SendAfter(w.size, w.pExtra, nil)
-		n.putWalker(w)
-	}
-}
-
 // enterPath runs once all tokens are held: it computes the walker's path
 // constants (sampling jitter exactly where the closure walkers did) and
 // performs the path's first action.
-//
-// In partitioned mode the paths that cross domains are retimed by the
-// network's plan (see planPartition): each crossing is stretched to the
-// negotiated lookahead, and the stretch is repaid here out of the path's
-// deterministic domain-local legs — CCM handling first, then the device
-// service base or the inter-CC slack and LLC legs — so every mailbox
-// delivery provably lands outside the conservative epoch while the
-// end-to-end path latency is bit-for-bit what the classic single-engine
-// model produces. In classic mode the plan carries the profile's
-// constants unshifted and these are the original formulas.
 func (w *walker) enterPath() {
 	n, p, a := w.n, w.n.prof, w.a
-	z := n.zones[w.zi]
 	w.phase = phasePath
 	w.state = 1
 	switch a.Kind {
 	case DestDRAM:
 		w.shops = n.noc.MemoryHopDelay(a.Src.CCD, a.UMC)
 		w.hopExtra = w.shops + p.CSLatency
-		w.after(n.plan.ccmDRAM)
+		n.eng.After(p.CacheMissBase, w.stepFn)
 	case DestCXL:
 		w.shops = n.noc.IOHopDelay(a.Src.CCD)
 		w.hopExtra = w.shops + p.IOHubLatency + p.RootComplexLatency
-		w.after(n.plan.ccmCXL)
+		n.eng.After(p.CacheMissBase, w.stepFn)
 	case DestLLCIntra:
-		w.hopExtra = p.IntraCCLatency + z.llcJitter.Sample()
+		w.hopExtra = p.IntraCCLatency + n.llcJitter.Sample()
 		if a.Op == txn.NTWrite {
-			w.pushTo(n.intraOut[a.Src.CCD], units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.intraOut[a.Src.CCD], units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.intraOut[a.Src.CCD], p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.intraOut[a.Src.CCD], p.ReadRequestSize, w.hopExtra)
 		}
 	case DestLLCInter:
 		// The deterministic latency budget beyond the explicitly modelled
 		// legs (GMI crossings and the remote LLC lookup), plus coherence
-		// jitter. The inter-CC path crosses domains four times, so it
-		// repays the largest share of the lookahead stretch.
-		w.hopExtra = n.plan.interExtra + z.llcJitter.Sample()
+		// jitter.
+		w.hopExtra = interHopBase(p) + n.llcJitter.Sample()
 		if a.Op == txn.NTWrite {
 			w.respSize = p.WriteAckSize
 		} else {
 			w.respSize = units.CacheLine
 		}
-		w.after(n.plan.ccmInter)
+		n.eng.After(p.CacheMissBase, w.stepFn)
 	}
 }
 
 // pushTo starts (re)trying to enter ch with the walker's step as the
 // delivery continuation. Callers advance w.state first, so the delivery
-// lands in the next case; toZi names the domain the delivery runs in (the
-// channel must be owned by the walker's current domain, deliveries may
-// cross). An express walker admits the message in closed form when the
-// channel is idle — an empty bounded queue always accepts, so the classic
-// retry loop is provably not entered — and otherwise falls back to the
-// classic admission attempt at the exact classic timestamp.
-func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time, toZi int) {
+// lands in the next case.
+func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time) {
 	w.ch, w.size, w.pExtra = ch, size, extra
-	w.pushZi = toZi
 	w.blocked = -1
-	if w.express {
-		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.zi = toZi
-			if ch.Posted() {
-				w.express = false
-				ch.Deliver(arrive, w.eventFn)
-				return
-			}
-			w.resume(arrive)
-			return
-		}
-		w.exitExpress(opPush)
-		return
-	}
 	w.attempt()
 }
 
 // attempt is one admission try; refusals rearm it after a jittered service
 // quantum, exactly like pushWithRetry (see SendWithRetry for why the
-// cadence matters). Retries run on the current domain's engine — the
-// channel's owner — and the walker migrates to the delivery domain once
-// the channel accepts.
+// cadence matters).
 func (w *walker) attempt() {
 	n := w.n
-	z := n.zones[w.zi]
 	n.trSet(w.id)
-	if w.ch.TrySendAfter(w.size, w.pExtra, w.eventFn) {
+	if w.ch.TrySendAfter(w.size, w.pExtra, w.stepFn) {
 		if w.blocked >= 0 {
-			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, z.eng.Now())
+			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, n.eng.Now())
 		}
-		w.zi = w.pushZi
 		return
 	}
 	if w.blocked < 0 {
-		w.blocked = z.eng.Now()
+		w.blocked = n.eng.Now()
 	}
-	z.eng.After(retryBackoff(z.eng, retryQuantum(w.ch.Capacity(), w.size)), w.retryFn)
-}
-
-// respondNoC sends a response across the NoC read channel back toward the
-// source chiplet. In partitioned mode that delivery crosses hub -> source
-// domain: it rides the mailbox with the lookahead added — stretch the
-// path's plan repaid out of its domain-local legs — so it provably lands
-// outside the epoch and the end-to-end latency is unchanged. An express
-// walker still applies the hop's serialization in closed form; only the
-// delivery crosses, so the fused segment ends at the zone boundary.
-func (w *walker) respondNoC(size units.ByteSize) {
-	n := w.n
-	if zi := n.zoneOf(w.a.Src.CCD); zi != w.zi {
-		if w.express {
-			if arrive, ok := n.noc.Read.TryExpress(size, n.plan.look, w.vnow, w.chanFence()); ok {
-				w.zi = zi
-				w.express = false
-				n.postHub[w.a.Src.CCD](arrive, w.eventFn)
-				return
-			}
-			w.ch, w.size, w.pExtra, w.pushZi = n.noc.Read, size, n.plan.look, zi
-			w.exitExpress(opRespond)
-			return
-		}
-		w.zi = zi
-		n.noc.Read.SendPost(size, n.plan.look, w.eventFn, n.postHub[w.a.Src.CCD])
-		return
-	}
-	w.xsend(n.noc.Read, size, 0, w.zi)
+	n.eng.After(retryBackoff(n.eng, retryQuantum(w.ch.Capacity(), w.size)), w.retryFn)
 }
 
 // finish completes the transaction: stamp, trace, release every token in
@@ -519,15 +214,10 @@ func (w *walker) respondNoC(size units.ByteSize) {
 // the transaction to done and recycle both objects. The walker is recycled
 // before done runs so a done callback that issues the next transaction
 // (closed loops) reuses this frame; the transaction is recycled after done
-// returns, unless the callback pinned it. Every path ends in the source
-// domain, so releases and the done callback are domain-local. finish only
-// ever runs at a real calendar event — terminal states are never fused —
-// so the released-token wakeups and the done callback observe the engine
-// clock, exactly as in classic execution.
+// returns, unless the callback pinned it.
 func (w *walker) finish() {
 	n, t := w.n, w.t
-	z := n.zones[w.zi]
-	t.Completed = z.eng.Now()
+	t.Completed = n.eng.Now()
 	if n.tracer != nil {
 		n.tracer.EndTxn(t.ID, t.Issued, t.Completed)
 	}
@@ -537,14 +227,14 @@ func (w *walker) finish() {
 	for i := len(w.extra) - 1; i >= 0; i-- {
 		w.extra[i].Release()
 	}
-	z.matrix.RecordID(w.srcKey, w.dstKey, t.Size)
+	n.matrix.RecordID(w.srcKey, w.dstKey, t.Size)
 	done := w.done
 	n.putWalker(w)
 	if done != nil {
 		done(t)
 	}
 	if n.recycle {
-		z.txns.Put(t)
+		n.txns.Put(t)
 	}
 }
 
@@ -557,9 +247,7 @@ func (w *walker) finish() {
 // runs riding the NoC's per-message extra, device service) to their named
 // stage hops, retroactively where the delay has just elapsed. Together
 // with the channel and pool hooks, the spans tile [Issued, Completed]
-// exactly. Attribution anchors on the walker's virtual clock, so fused
-// states record spans with the same stamps — in the same ring order — as
-// their classic counterparts.
+// exactly.
 func (w *walker) stepDRAM() {
 	n, p, a := w.n, w.n.prof, w.a
 	ccd := a.Src.CCD
@@ -568,67 +256,64 @@ func (w *walker) stepDRAM() {
 	switch w.state {
 	case 1:
 		n.trSet(w.id)
-		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
+		n.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
 		} else {
 			// A temporal write is a read-for-ownership: the line is
 			// fetched like a read; the dirty writeback happens
 			// asynchronously later.
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
-		w.trMeshHops(w.shops, p.CSLatency)
+		n.trMeshHops(w.shops, p.CSLatency)
 		w.state = 4
 		if nt {
-			w.xsend(dram.Write, units.CacheLine, 0, w.zi)
+			dram.Write.Send(units.CacheLine, w.stepFn)
 		} else {
-			// The service leg repays the plan's remaining stretch; the
-			// shift never exceeds the deterministic DRAMLatency base, so
-			// the jittered access time always covers it (0 in classic).
 			access := dram.AccessTime()
-			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access - n.plan.dramShift)
+			n.trAfter(dram.ServiceHop(), trace.CauseService, access)
+			n.eng.After(access, w.stepFn)
 		}
 	case 4:
 		n.trSet(w.id)
 		w.state = 5
 		if nt {
 			access := dram.AccessTime()
-			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access - n.plan.dramShift)
+			n.trAfter(dram.ServiceHop(), trace.CauseService, access)
+			n.eng.After(access, w.stepFn)
 		} else {
-			w.xsend(dram.Read, units.CacheLine, 0, w.zi)
+			dram.Read.Send(units.CacheLine, w.stepFn)
 		}
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
 		if nt {
-			w.respondNoC(p.WriteAckSize)
+			n.noc.Read.Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.respondNoC(units.CacheLine)
+			n.noc.Read.Send(units.CacheLine, w.stepFn)
 		}
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
 		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0, w.zi)
+			n.gmiIn[ccd].Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0, w.zi)
+			n.gmiIn[ccd].Send(units.CacheLine, w.stepFn)
 		}
 	case 7:
 		if a.Op == txn.Write {
-			n.startWriteback(a, w.hopExtra, w.zi)
+			n.startWriteback(a, w.hopExtra)
 		}
 		w.finish()
 	}
@@ -642,51 +327,27 @@ func (w *walker) stepWriteback() {
 	n := w.n
 	switch w.state {
 	case 1:
-		// Classic execution re-establishes the id-0 attribution inside
-		// attempt; the express path records the span directly, so the
-		// register must be set here.
-		n.trSet(0)
 		w.state = 2
-		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 	case 2:
-		// The tail holds no tokens and completes nobody, so unlike the
-		// transaction-terminal states it may run at a virtual timestamp:
-		// recycling the frame early is invisible (frames are
-		// interchangeable — the recycling-off determinism guard proves
-		// free-list order cannot affect results).
 		n.trSet(0)
-		dw := n.drams[w.a.UMC].Write
-		if w.express {
-			if _, ok := dw.TryExpress(units.CacheLine, 0, w.vnow, w.strictFence()); ok {
-				n.putWalker(w)
-				return
-			}
-			w.ch, w.size, w.pExtra = dw, units.CacheLine, 0
-			w.exitExpress(opSendNil)
-			return
-		}
-		dw.Send(units.CacheLine, nil)
+		n.drams[w.a.UMC].Write.Send(units.CacheLine, nil)
 		n.putWalker(w)
 	}
 }
 
 // startWriteback launches a writeback walker for the dirty line a temporal
 // write leaves behind, reusing the parent's NoC hop-extra (same CCD -> UMC
-// route). zi is the issuing domain (the source chiplet's). The launch is
-// synchronous inside the parent's terminal event, so the fresh walker
-// starts classic (getWalker leaves express off until its first calendar
-// resumption).
-func (n *Network) startWriteback(a Access, hopExtra units.Time, zi int) {
-	w := n.getWalker(zi)
+// route).
+func (n *Network) startWriteback(a Access, hopExtra units.Time) {
+	w := n.getWalker()
 	w.a = a
 	w.wb = true
 	w.id = 0
 	w.hopExtra = hopExtra
 	w.phase = phasePath
 	w.state = 1
-	w.express = false
-	w.vnow = n.zones[zi].eng.Now()
-	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0, n.hubZi)
+	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
 }
 
 // stepCXL walks a device transaction: CCM -> GMI -> switch hops -> I/O hub
@@ -700,60 +361,60 @@ func (w *walker) stepCXL() {
 	switch w.state {
 	case 1:
 		n.trSet(w.id)
-		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
+		n.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
 		} else {
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
-		w.trHubHops(w.shops, p.IOHubLatency, p.RootComplexLatency)
+		n.trHubHops(w.shops, p.IOHubLatency, p.RootComplexLatency)
 		w.state = 4
 		if nt {
-			w.pushTo(mod.Write, mod.FlitSize(units.CacheLine), p.PLinkLatency, w.zi)
+			w.pushTo(mod.Write, mod.FlitSize(units.CacheLine), p.PLinkLatency)
 		} else {
-			w.pushTo(mod.Write, p.ReadRequestSize, p.PLinkLatency, w.zi)
+			w.pushTo(mod.Write, p.ReadRequestSize, p.PLinkLatency)
 		}
 	case 4:
 		n.trSet(w.id)
-		w.trBefore(mod.PLinkHop(), trace.CausePropagating, p.PLinkLatency)
+		n.trBefore(mod.PLinkHop(), trace.CausePropagating, p.PLinkLatency)
 		access := mod.AccessTime()
-		w.trAfter(mod.ServiceHop(), trace.CauseService, access)
+		n.trAfter(mod.ServiceHop(), trace.CauseService, access)
 		w.state = 5
-		w.after(access - n.plan.cxlShift)
+		n.eng.After(access, w.stepFn)
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
 		if nt {
-			w.xsend(mod.Read, p.WriteAckSize, 0, w.zi)
+			mod.Read.Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.xsend(mod.Read, mod.FlitSize(units.CacheLine), 0, w.zi)
+			mod.Read.Send(mod.FlitSize(units.CacheLine), w.stepFn)
 		}
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
 		if nt {
-			w.respondNoC(p.WriteAckSize)
+			n.noc.Read.Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.respondNoC(units.CacheLine)
+			n.noc.Read.Send(units.CacheLine, w.stepFn)
 		}
 	case 7:
 		n.trSet(w.id)
 		w.state = 8
 		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0, w.zi)
+			n.gmiIn[ccd].Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0, w.zi)
+			n.gmiIn[ccd].Send(units.CacheLine, w.stepFn)
 		}
 	case 8:
 		w.finish()
@@ -770,12 +431,12 @@ func (w *walker) stepLLCIntra() {
 	switch w.state {
 	case 1:
 		n.trSet(w.id)
-		w.trBefore(n.ifHop(ccd), trace.CausePropagating, w.hopExtra)
+		n.trBefore(n.ifHop(ccd), trace.CausePropagating, w.hopExtra)
 		w.state = 2
 		if a.Op == txn.NTWrite {
-			w.xsend(n.intraIn[ccd], p.WriteAckSize, 0, w.zi)
+			n.intraIn[ccd].Send(p.WriteAckSize, w.stepFn)
 		} else {
-			w.xsend(n.intraIn[ccd], units.CacheLine, 0, w.zi)
+			n.intraIn[ccd].Send(units.CacheLine, w.stepFn)
 		}
 	case 2:
 		w.finish()
@@ -795,64 +456,47 @@ func (w *walker) stepLLCInter() {
 	switch w.state {
 	case 1:
 		n.trSet(w.id)
-		w.trBefore(n.ccmHop(src), trace.CauseProcessing, p.CacheMissBase)
+		n.trBefore(n.ccmHop(src), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[src], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[src], units.CacheLine, 0)
 		} else {
-			w.pushTo(n.gmiOut[src], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[src], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
-		w.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
-		w.state = 30
-		if zi := n.zoneOf(dst); zi != w.zi {
-			// The request enters the target chiplet's domain: hand the
-			// walker across one lookahead later, stretch the plan
-			// withheld from the path's latency budget. The handoff is a
-			// mailbox delivery either way, so a fused segment simply ends
-			// here.
-			at := w.vnow + n.plan.look
-			w.zi = zi
-			w.express = false
-			n.postHub[dst](at, w.eventFn)
-		} else {
-			w.pathStep()
-		}
-	case 30:
-		n.trSet(w.id)
+		n.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
 		w.state = 4
 		if nt {
-			w.xsend(n.gmiIn[dst], units.CacheLine, 0, w.zi)
+			n.gmiIn[dst].Send(units.CacheLine, w.stepFn)
 		} else {
-			w.xsend(n.gmiIn[dst], p.ReadRequestSize, 0, w.zi)
+			n.gmiIn[dst].Send(p.ReadRequestSize, w.stepFn)
 		}
 	case 4:
 		n.trSet(w.id)
-		w.trAfter(n.llcHop(dst), trace.CauseProcessing, p.L3Latency)
+		n.trAfter(n.llcHop(dst), trace.CauseProcessing, p.L3Latency)
 		w.state = 5
-		w.after(n.plan.interL3)
+		n.eng.After(p.L3Latency, w.stepFn)
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
-		// The response re-enters the hub: GMI-out deliveries cross there.
-		w.xsend(n.gmiOut[dst], w.respSize, 0, n.hubZi)
+		n.gmiOut[dst].Send(w.respSize, w.stepFn)
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
-		w.respondNoC(w.respSize)
+		n.noc.Read.Send(w.respSize, w.stepFn)
 	case 7:
 		n.trSet(w.id)
 		w.state = 8
-		w.xsend(n.gmiIn[src], w.respSize, 0, w.zi)
+		n.gmiIn[src].Send(w.respSize, w.stepFn)
 	case 8:
 		w.finish()
 	}

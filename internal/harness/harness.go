@@ -8,9 +8,7 @@ package harness
 
 import (
 	"fmt"
-	"log"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"repro/internal/core"
@@ -36,23 +34,14 @@ type Options struct {
 	// network the harness builds. Results are byte-identical either way;
 	// the determinism guard test flips this to prove pooling is invisible.
 	DisableRecycle bool
-	// NoFusion turns off express-path event fusion in every network the
-	// harness builds. Results are byte-identical either way — fusion
-	// collapses uncontended hop chains into closed-form bookkeeping
-	// without changing any observable — so this switch exists for the
-	// differential determinism tests and for benchmarking the classic
-	// event-per-hop execution cost.
+	// NoFusion is ignored: express-path event fusion no longer exists.
+	//
+	// Deprecated: every network runs the one event-per-hop walker.
 	NoFusion bool
-	// Domains selects the intra-cell parallel engine. 0 (the default)
-	// builds the classic single-engine network, preserving the seeded
-	// outputs committed before the partitioned engine existed. N >= 1
-	// builds a domain-partitioned network — the partition itself is fixed
-	// by the topology (one domain per CCD plus a hub domain), N only caps
-	// how many worker goroutines advance domains concurrently — so the
-	// results are byte-identical for every N >= 1 (Domains=1 runs the
-	// same epoch schedule serially). Cells that attach a flight recorder
-	// always run classic: exact span tiling needs the single-engine
-	// event order.
+	// Domains is ignored: the partitioned engine no longer exists, and
+	// every cell runs on one engine.
+	//
+	// Deprecated: cell-level parallelism is Workers.
 	Domains int
 }
 
@@ -78,37 +67,6 @@ func (o Options) newNet(p *topology.Profile) *core.Network {
 	n := core.New(sim.New(o.Seed), p)
 	if o.DisableRecycle {
 		n.SetRecycling(false)
-	}
-	if o.NoFusion {
-		n.SetExpress(false)
-	}
-	return n
-}
-
-// classicWarn rate-limits the trace-forces-classic warning to once per
-// process: a sweep's cells all resolve the same Options.
-var classicWarn sync.Once
-
-// newCellNet builds the network for one experiment cell, honouring the
-// Domains option. forceClassic pins the classic single-engine build
-// regardless of Domains — cells that attach a flight recorder need the
-// single-engine event order for exact span tiling.
-func (o Options) newCellNet(p *topology.Profile, forceClassic bool) *core.Network {
-	if o.Domains <= 0 || forceClassic {
-		if forceClassic && o.Domains > 0 {
-			classicWarn.Do(func() {
-				log.Printf("harness: flight recorder attached; ignoring Domains=%d and running traced cells on the classic single engine (exact span tiling needs its event order)",
-					o.Domains)
-			})
-		}
-		return o.newNet(p)
-	}
-	n := core.NewPartitioned(o.Seed, p, o.domainWorkers())
-	if o.DisableRecycle {
-		n.SetRecycling(false)
-	}
-	if o.NoFusion {
-		n.SetExpress(false)
 	}
 	return n
 }

@@ -69,14 +69,6 @@ type Channel struct {
 	tr  *trace.Tracer
 	hop trace.HopID
 
-	// post, when set, reroutes every delivery callback (never the depart
-	// bookkeeping, which stays on the owning engine): a channel whose
-	// receiving endpoint lives in another partition domain posts deliveries
-	// through the cluster mailbox instead of scheduling them locally. The
-	// channel latency must then be at least the cluster lookahead, so the
-	// delivery time is provably outside the current epoch.
-	post func(units.Time, func())
-
 	// departFn is the serialization-complete callback, bound once so the
 	// per-message hot path schedules it without allocating a closure.
 	departFn func()
@@ -142,7 +134,7 @@ func (c *Channel) purgeDepartures() {
 func (c *Channel) pushDeparture(done units.Time) {
 	c.purgeDepartures()
 	c.dep = append(c.dep, departure{done: done, seq: c.eng.ReserveSeq()})
-	c.eng.NoteFused(1)
+	c.eng.NoteFused()
 }
 
 // SetTracer attaches the flight recorder, registering this channel as a
@@ -158,12 +150,6 @@ func (c *Channel) SetTracer(tr *trace.Tracer) {
 // Hop reports the channel's id in the attached tracer's registry (zero
 // when no tracer is attached).
 func (c *Channel) Hop() trace.HopID { return c.hop }
-
-// SetPost reroutes all delivery callbacks through fn — the cross-domain
-// scheduling hook of a partitioned simulation. Serialization bookkeeping
-// (queue slots, the depart event) stays on the owning engine; only the
-// receiver-side deliver callbacks cross. nil restores local scheduling.
-func (c *Channel) SetPost(fn func(units.Time, func())) { c.post = fn }
 
 // Name reports the channel's telemetry name.
 func (c *Channel) Name() string { return c.name }
@@ -217,25 +203,11 @@ func (c *Channel) SendAfter(size units.ByteSize, extra units.Time, deliver func(
 	c.enqueue(size, extra, deliver)
 }
 
-// SendPost is SendAfter with a per-message delivery-scheduling hook,
-// overriding any channel-wide SetPost. A hub-side channel whose responses
-// fan out to many domains (the NoC read return) picks the destination
-// domain's mailbox per message; delivery time done+latency+extra must be
-// outside the current epoch, which holds whenever extra alone is at least
-// the cluster lookahead.
-func (c *Channel) SendPost(size units.ByteSize, extra units.Time, deliver func(), post func(units.Time, func())) {
-	c.enqueuePost(size, extra, deliver, post)
-}
-
 // enqueue accepts a message unconditionally: the queue-bound check, if
 // any, belongs to the caller. Sharing this path between TrySendAfter and
 // SendAfter means the bound is never bypassed by mutating c.depth, so a
 // panic or re-entrant send mid-enqueue cannot leave the bound corrupted.
 func (c *Channel) enqueue(size units.ByteSize, extra units.Time, deliver func()) {
-	c.enqueuePost(size, extra, deliver, c.post)
-}
-
-func (c *Channel) enqueuePost(size units.ByteSize, extra units.Time, deliver func(), post func(units.Time, func())) {
 	now := c.eng.Now()
 	start := now
 	if c.nextFree > start {
@@ -262,81 +234,8 @@ func (c *Channel) enqueuePost(size units.ByteSize, extra units.Time, deliver fun
 		return
 	}
 	c.pushDeparture(done)
-	if post != nil {
-		post(done+c.latency+extra, deliver)
-	} else {
-		c.eng.At(done+c.latency+extra, deliver)
-	}
+	c.eng.At(done+c.latency+extra, deliver)
 }
-
-// TryExpress attempts to apply one send's complete serialization
-// bookkeeping in closed form — the bulk-advance half of the express-path
-// fusion layer. It succeeds only when the message would start service
-// immediately at virtual time v (no queued predecessors, serializer free)
-// and finish serializing strictly before fence, the caller's proof bound
-// that no calendar event can observe the channel in between. On success
-// the serializer clock, occupancy meter, queueing histogram and trace
-// span advance exactly as the classic enqueue at v would have — minus the
-// depart event, whose only effect (releasing the queue slot at done) is
-// already final because done < fence — and the delivery timestamp
-// done+latency+extra is returned for the caller to continue from. On
-// failure nothing changes and the caller must fall back to the classic
-// per-hop send at v.
-//
-// The departure stamp ring keeps occupancy classically exact even under
-// the relaxed fence callers use when v equals the engine clock — where
-// the bookkeeping is not early at all (a classic enqueue at v would
-// stamp identically) and only the depart event is elided, so fence need
-// only bound the drive horizon, not the next calendar event.
-func (c *Channel) TryExpress(size units.ByteSize, extra units.Time, v, fence units.Time) (units.Time, bool) {
-	// Idle-at-v check without touching the departure ring: nextFree is the
-	// max departure stamp, so nextFree <= v means every recorded stamp has
-	// departed by the time a classic enqueue at v would run (each stamp's
-	// reserved sequence number predates the event dispatching now), and
-	// the serializer is free. Only nil-delivery messages, invisible to the
-	// stamp ring, must be checked separately.
-	if c.queued != 0 || c.nextFree > v {
-		return 0, false
-	}
-	txTime := c.timeToSend(size)
-	done := v + txTime
-	if done >= fence {
-		return 0, false
-	}
-	c.nextFree = done
-	c.busy += txTime
-	c.queueLat.Record(0)
-	c.meter.Record(size)
-	if c.tr != nil {
-		c.tr.Enqueue(c.hop, size, v, v, done, done+c.latency)
-	}
-	c.pushDeparture(done)
-	return done + c.latency + extra, true
-}
-
-// Posted reports whether deliveries reroute through a cross-domain post
-// hook — the signal that an express walker must stop extending its fused
-// segment and let the continuation ride the epoch mailbox.
-func (c *Channel) Posted() bool { return c.post != nil }
-
-// Deliver schedules fn at t along the channel's delivery route: the
-// cross-domain post hook when one is set, the owning engine's calendar
-// otherwise. Express senders use it to schedule the arrival of a message
-// whose serialization TryExpress applied in closed form.
-func (c *Channel) Deliver(t units.Time, fn func()) {
-	if c.post != nil {
-		c.post(t, fn)
-		return
-	}
-	c.eng.At(t, fn)
-}
-
-// NextFree reports the absolute time the serializer finishes its current
-// backlog: no message accepted from now on can start service — let alone
-// deliver — before it. The partitioned engine samples it at epoch
-// barriers as a conservative floor on this channel's next cross-domain
-// delivery (it is monotone non-decreasing, which that use relies on).
-func (c *Channel) NextFree() units.Time { return c.nextFree }
 
 // QueueDelay reports how long a message accepted now would wait before
 // starting service: the current backlog of the serializer.

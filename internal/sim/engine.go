@@ -44,6 +44,12 @@ const (
 // Engine is a discrete-event scheduler. The zero value is not usable; use
 // New.
 type Engine struct {
+	// padHead and padTail keep the fields every event writes off the cache
+	// lines of whatever the allocator places beside the engine. The
+	// harness runs cells' engines concurrently, and two engines sharing a
+	// line cost the two-worker Figure 4 grid about 35% more CPU.
+	padHead [cacheLine]byte
+
 	now      units.Time
 	seq      uint64
 	rng      *RNG
@@ -58,13 +64,6 @@ type Engine struct {
 	// departure happened yet" exactly as the classic (time, seq)
 	// tie-break would have.
 	curSeq uint64
-
-	// limit is the current drive's horizon: RunUntil(t) sets it to t, Run
-	// to noEvent, Step to the dispatched event's own timestamp. It bounds
-	// ExpressFence — when the drive returns, the host resumes inspecting
-	// state as of the horizon, so no closed-form effect stamped beyond it
-	// may have been applied early.
-	limit units.Time
 
 	// baseTick is the first slot tick covered by the current wheel window
 	// [baseTick, baseTick+wheelSlots). It only moves forward, and only
@@ -85,7 +84,12 @@ type Engine struct {
 	// it, so a sliding burst of events does not grow a fresh array for
 	// every slot it touches.
 	spare [][]event
+
+	padTail [cacheLine]byte
 }
+
+// cacheLine is the CPU cache-line size the engine pads its hot fields by.
+const cacheLine = 64
 
 // New returns an engine whose clock starts at zero and whose random source
 // is seeded with seed (two engines built with the same seed replay
@@ -105,10 +109,10 @@ func New(seed uint64) *Engine {
 const idleSeq = ^uint64(0)
 
 // ReserveSeq consumes and returns the sequence number the next scheduled
-// event would have received, without scheduling anything. The express
-// path reserves the slot of each event it elides, so the (time, seq)
+// event would have received, without scheduling anything. A channel
+// reserves the slot of each depart event it elides, so the (time, seq)
 // tie-break order of every event that does get scheduled is bit-for-bit
-// the order classic execution would have produced.
+// the order one-event-per-departure execution would have produced.
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
@@ -132,52 +136,13 @@ func (e *Engine) Pending() int { return e.pending }
 // engine's work counter for throughput benchmarks (events/sec).
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Fused reports the number of would-be events whose effects were applied
-// in closed form by the express path instead of being scheduled and run.
-// Executed+Fused is the classic-equivalent event count of a run.
+// Fused reports the number of would-be events elided: channel depart
+// events replaced by departure stamps. Executed+Fused is the
+// one-event-per-departure count of a run.
 func (e *Engine) Fused() uint64 { return e.fused }
 
-// NoteFused adjusts the fused-event counter: +1 when a calendar event's
-// effect was applied in closed form, -1 when a previously-elided
-// continuation had to rematerialize as a real event after all.
-func (e *Engine) NoteFused(d int64) { e.fused = uint64(int64(e.fused) + d) }
-
-// ExpressFence reports the exclusive bound under which state mutations
-// may be applied eagerly without any observer noticing: the earliest
-// pending event's timestamp, capped by the drive horizon (events do not
-// execute past it, and the host inspects state there). Engine state is
-// only ever observed by event callbacks and by the host between drives,
-// so effects whose classic execution timestamps all lie strictly below
-// this fence are indistinguishable from having been executed by events —
-// including RNG draw order, (time, seq) tie-breaks and FIFO order, since
-// nothing else runs in between. The fence is valid until the current
-// callback schedules or the engine dispatches another event.
-func (e *Engine) ExpressFence() units.Time {
-	f := noEvent
-	if e.limit < f {
-		f = e.limit + 1
-	}
-	if next, ok := e.NextAt(); ok && next < f {
-		f = next
-	}
-	return f
-}
-
-// LimitFence is the drive-horizon half of ExpressFence alone: the
-// exclusive bound below which a stamp cannot be observed by the host
-// between drives. Express hops applied at the current engine time use it
-// instead of the full fence — their channel bookkeeping is exactly what a
-// classic enqueue at the same instant would write, so pending calendar
-// events see no difference and only the drive horizon (and, in a
-// partitioned zone, the epoch barrier's view of the calendar) must stay
-// protected.
-func (e *Engine) LimitFence() units.Time {
-	f := noEvent
-	if e.limit < f {
-		f = e.limit + 1
-	}
-	return f
-}
+// NoteFused counts one elided event.
+func (e *Engine) NoteFused() { e.fused++ }
 
 // NextAt reports the timestamp of the earliest pending event. ok is false
 // when the calendar is empty. The calendar is not restructured: peeking at
@@ -210,36 +175,6 @@ func (e *Engine) At(t units.Time, fn func()) {
 	}
 }
 
-// atBatch schedules a drained mailbox run onto the calendar in slice
-// order — the bulk-insert path of the cluster's epoch barrier. Sequence
-// numbers are assigned in slice order, so the (time, seq) tie-break
-// reproduces exactly what per-entry At calls would, and it reports the
-// earliest timestamp inserted so the caller can refresh its cached
-// next-event minimum with one comparison per mailbox instead of one per
-// message.
-func (e *Engine) atBatch(evs []crossEvent) units.Time {
-	earliest := noEvent
-	horizon := e.baseTick + wheelSlots
-	for i := range evs {
-		ev := &evs[i]
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: scheduling at %v which is before now (%v)", ev.at, e.now))
-		}
-		if ev.at < earliest {
-			earliest = ev.at
-		}
-		e.seq++
-		e.pending++
-		rec := event{at: ev.at, seq: e.seq, fn: ev.fn}
-		if tick := int64(ev.at) >> tickShift; tick < horizon {
-			e.slotPush(tick, rec)
-		} else {
-			e.overflow = heapPush(e.overflow, rec)
-		}
-	}
-	return earliest
-}
-
 // After schedules fn to run d after the current time. A negative d is
 // clamped to zero (run as the next event at the current timestamp).
 func (e *Engine) After(d units.Time, fn func()) {
@@ -250,13 +185,8 @@ func (e *Engine) After(d units.Time, fn func()) {
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event ran. The drive horizon closes to
-// the event's own timestamp: the caller may inspect any state between
-// single steps, so no future effect may be applied early.
+// timestamp. It reports whether an event ran.
 func (e *Engine) Step() bool {
-	if next, ok := e.NextAt(); ok {
-		e.limit = next
-	}
 	ran := e.stepOne(0, false)
 	e.curSeq = idleSeq
 	return ran
@@ -264,7 +194,6 @@ func (e *Engine) Step() bool {
 
 // Run processes events until the calendar is empty.
 func (e *Engine) Run() {
-	e.limit = noEvent
 	for e.stepOne(0, false) {
 	}
 	e.curSeq = idleSeq
@@ -273,7 +202,6 @@ func (e *Engine) Run() {
 // RunUntil processes every event scheduled at or before t, then advances
 // the clock to exactly t. Events scheduled later remain pending.
 func (e *Engine) RunUntil(t units.Time) {
-	e.limit = t
 	for e.stepOne(t, true) {
 	}
 	e.curSeq = idleSeq
@@ -283,8 +211,7 @@ func (e *Engine) RunUntil(t units.Time) {
 }
 
 // stepOne pops and runs the earliest pending event (only up to limit when
-// bounded), reporting whether one ran. The drive horizon e.limit is set
-// by the drivers, not here — it outlives any single event.
+// bounded), reporting whether one ran.
 func (e *Engine) stepOne(limit units.Time, bounded bool) bool {
 	tick, ok := e.nextTick(limit, bounded)
 	if !ok {
