@@ -59,6 +59,14 @@ go test ./internal/metrics/ -run 'TestOpenMetricsAllocsFlat' -v -count=1
 # arbitrary labels, units, stamps and sample bit patterns.
 go test ./internal/metrics/ -run '^$' -fuzz '^FuzzOpenMetricsFleet$' -fuzztime 15s
 
+# Readers of files written by an earlier run must survive torn and hostile
+# bytes: the Chrome-trace reader behind chiplettrace -in must not panic,
+# and whatever it loads must re-export stably; the incident-archive reader
+# behind chipletstat -correlate must not panic and may drop only a torn
+# final line.
+go test ./internal/trace/ -run '^$' -fuzz '^FuzzReadTraceEvents$' -fuzztime 10s
+go test ./internal/anomaly/ -run '^$' -fuzz '^FuzzReadArchive$' -fuzztime 10s
+
 # The harvest tick over the full-network instrument table must not
 # allocate: rings are sized at Start, rescheduling reuses the pre-bound
 # callback.

@@ -10,7 +10,6 @@
 //	chipletbench -platform 7302 -mode bandwidth -op read -cores 16
 //	chipletbench -platform 9634 -mode bandwidth -dest cxl -cores 7 -demand 20
 //	chipletbench -platform 9634 -mode latency -dest llc-intra -cores 7 -demand 25
-//	chipletbench -bench BENCH_after.json
 package main
 
 import (
@@ -46,7 +45,6 @@ func main() {
 	duration := flag.Int("duration", 100, "measurement window, microseconds")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	showProfile := flag.Bool("profile", false, "print a per-flow profile report")
-	benchOut := flag.String("bench", "", "run the scheduler benchmark suite and write results to this JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (post-GC heap) to this file")
 	flag.Parse()
@@ -60,13 +58,6 @@ func main() {
 			log.Print(err)
 		}
 	}()
-
-	if *benchOut != "" {
-		if err := runBenchSuite(*benchOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	prof, ok := topology.ProfileByName(*platform)
 	if !ok {

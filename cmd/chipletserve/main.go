@@ -90,7 +90,7 @@ func main() {
 				runs = append(runs, cellRun{
 					name: fmt.Sprintf("fig4/s%dc%d", s, c),
 					run: func(reg *metrics.Registry) (string, error) {
-						res, err := harness.Figure4StatsCell(opt, s, c, reg)
+						res, _, err := harness.Figure4Cell(opt, s, c, nil, reg)
 						if err != nil {
 							return "", err
 						}

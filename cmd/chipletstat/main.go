@@ -24,7 +24,9 @@
 // same cross-cell saturation-order report the live /correlate endpoint
 // serves: which resource saturated first, in which cell, how the onsets
 // order across configs. -format json emits the report as JSON; -top
-// bounds the ranked series. -correlate needs no -in.
+// bounds the ranked series. -correlate needs no -in. A final line torn
+// by a crash mid-append is skipped, and the count of skipped lines is
+// printed to stderr.
 package main
 
 import (
@@ -120,9 +122,12 @@ func main() {
 // runCorrelate loads an incident lifecycle archive and renders the
 // cross-cell saturation-order report (text, or JSON with -format json).
 func runCorrelate(path, format, outPath string, top int) error {
-	recs, err := anomaly.LoadArchive(path)
+	recs, dropped, err := anomaly.LoadArchive(path)
 	if err != nil {
 		return err
+	}
+	if dropped > 0 {
+		log.Printf("%s: dropped %d torn final line(s) of an interrupted append", path, dropped)
 	}
 	series := correlate.Correlate(recs)
 	var w io.Writer = os.Stdout

@@ -4,10 +4,10 @@
 // Usage:
 //
 //	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N]
-//	reproduce -trace out.json [-trace-scenario N] [-trace-case N] [-trace-spans N] [-scale N] [-seed N]
-//	reproduce -stats out.json [-stats-experiment fig4|fig5] [-stats-scenario N] [-stats-case N]
+//	reproduce -trace out.json [-scenario N] [-case N] [-trace-spans N] [-scale N] [-seed N]
+//	reproduce -stats out.json [-stats-experiment fig4|fig5] [-scenario N] [-case N]
 //	          [-stats-window D] [-stats-format json|openmetrics|csv] [-stats-top N]
-//	reproduce -trace fused.json -stats stats.json [-trace-scenario N] [-trace-case N]
+//	reproduce -trace fused.json -stats stats.json [-scenario N] [-case N]
 //	          [-stats-window D] [-stats-format ...]
 //
 // -scale divides the steady-state measurement windows (1 = full length, as
@@ -15,31 +15,31 @@
 // how many experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial);
 // results are identical for every worker count.
 //
-// -trace runs one Figure 4 cell with the hop-level flight recorder
-// enabled over the measurement window, writes the spans as Chrome
-// trace_event JSON (open at https://ui.perfetto.dev), and prints the
-// latency-breakdown and per-hop counter reports. Inspect the file later
-// with cmd/chiplettrace.
+// -trace and -stats each attach an observer to ONE cell, selected by
+// -scenario and -case (the case applies to Figure 4 only), and run it
+// once. -trace attaches the hop-level flight recorder to a Figure 4 cell
+// over the measurement window, prints the latency-breakdown and per-hop
+// counter reports, and writes the spans as Chrome trace_event JSON (open
+// at https://ui.perfetto.dev; inspect later with cmd/chiplettrace).
+// -stats attaches the windowed-metrics registry with the online anomaly
+// detectors to a Figure 4 cell, or with -stats-experiment fig5 to a
+// Figure 5 panel, streams a top-like per-window bottleneck view while the
+// simulation runs, prints the family summary, the ranked bottleneck
+// report and the incident table, and writes the full per-window series
+// in the chosen format (inspect a JSON dump later with cmd/chipletstat).
 //
-// -stats runs one cell with the windowed-metrics registry harvesting
-// over the measurement window, streams a top-like per-window bottleneck
-// view while the simulation runs, prints the ranked bottleneck report,
-// and writes the full per-window series to the file in the chosen
-// format. Inspect a JSON dump later with cmd/chipletstat.
-//
-// -trace and -stats together run ONE fused cell: the flight recorder and
-// the windowed-metrics registry (with the online anomaly detectors
-// attached) observe the same engine over the same measurement window.
-// The stats file gets the per-window series as usual; the trace file
-// gets the fused export — the span timeline plus the detected incidents
-// as an annotation track, onset/clear markers landing inside the windows
-// whose spans show the congestion. The cell is selected by
-// -trace-scenario/-trace-case; -stats-window/-stats-format apply.
+// With both, the recorder and the registry observe the same engine over
+// the same measurement window, and the trace file gets the fused export:
+// the span timeline plus the detected incidents as an annotation track,
+// onset/clear markers landing inside the windows whose spans show the
+// congestion. The recorder observes Figure 4 cells only, so -trace with
+// -stats-experiment fig5 is an error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -49,6 +49,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/profiling"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -60,13 +61,11 @@ func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	traceFile := flag.String("trace", "", "write a flight-recorder trace of one Figure 4 cell to this file (Chrome trace_event JSON)")
-	traceScenario := flag.Int("trace-scenario", 1, "Figure 4 scenario index to trace (see fig4 output order)")
-	traceCase := flag.Int("trace-case", 2, "Figure 4 demand case index to trace (default: equal over-subscribing demands)")
 	traceSpans := flag.Int("trace-spans", 1<<20, "span ring capacity for -trace (oldest spans overwritten beyond this)")
 	statsFile := flag.String("stats", "", "write windowed metrics of one cell to this file (format per -stats-format)")
 	statsExp := flag.String("stats-experiment", "fig4", "cell to instrument with -stats: fig4 (steady state) or fig5 (fluctuating demand)")
-	statsScenario := flag.Int("stats-scenario", 1, "scenario index for -stats (fig4 default: 9634 UMC/GMI)")
-	statsCase := flag.Int("stats-case", 2, "Figure 4 demand case index for -stats (default: equal over-subscribing demands)")
+	scenario := flag.Int("scenario", 1, "scenario index of the cell -trace/-stats observe (see fig4/fig5 output order; fig4 default: 9634 UMC/GMI)")
+	demandCase := flag.Int("case", 2, "Figure 4 demand case index for -trace/-stats (default: equal over-subscribing demands)")
 	statsWindow := flag.Duration("stats-window", 100*time.Microsecond, "harvest window in simulated time (100us = the paper's 100 ms at 1:1000)")
 	statsFormat := flag.String("stats-format", "json", "-stats export format: json, openmetrics or csv")
 	statsTop := flag.Int("stats-top", 5, "rows in the live per-window bottleneck view (0 disables live output)")
@@ -85,25 +84,14 @@ func main() {
 	}()
 
 	opt := harness.Options{Seed: *seed, TimeScale: *scale, Workers: *workers}
-	if *traceFile != "" && *statsFile != "" {
-		win := units.Nanos(float64(statsWindow.Nanoseconds()))
-		err := runFused(opt, *traceScenario, *traceCase, *traceSpans, win, *statsFormat, *statsTop, *traceFile, *statsFile)
+	if *traceFile != "" || *statsFile != "" {
+		err := runObserved(opt, observed{
+			experiment: *statsExp, scenario: *scenario, demandCase: *demandCase,
+			spanCap: *traceSpans, window: units.Nanos(float64(statsWindow.Nanoseconds())),
+			format: *statsFormat, top: *statsTop, tracePath: *traceFile, statsPath: *statsFile,
+		})
 		if err != nil {
-			log.Fatalf("fused: %v", err)
-		}
-		return
-	}
-	if *traceFile != "" {
-		if err := runTrace(opt, *traceScenario, *traceCase, *traceSpans, *traceFile); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		return
-	}
-	if *statsFile != "" {
-		win := units.Nanos(float64(statsWindow.Nanoseconds()))
-		err := runStats(opt, *statsExp, *statsScenario, *statsCase, win, *statsFormat, *statsTop, *statsFile)
-		if err != nil {
-			log.Fatalf("stats: %v", err)
+			log.Fatal(err)
 		}
 		return
 	}
@@ -136,152 +124,127 @@ func main() {
 	}
 }
 
-// runTrace runs one Figure 4 cell with the flight recorder on, writes
-// the Perfetto-loadable trace and prints the analysis reports.
-func runTrace(opt harness.Options, scenario, demandCase, spanCap int, path string) error {
-	res, tr, err := harness.Figure4TraceCell(opt, scenario, demandCase, spanCap)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteTraceEvents(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println(tr.BreakdownReport(10))
-	fmt.Println("per-hop counter registry:")
-	fmt.Println(tr.CounterReport())
-	fmt.Printf("wrote %d spans to %s — open at https://ui.perfetto.dev or inspect with chiplettrace\n",
-		tr.SpanCount(), path)
-	return nil
+// observed selects the cell of a -trace/-stats run and where its
+// observers' output goes; an empty path leaves that observer off.
+type observed struct {
+	experiment           string // fig4 or fig5
+	scenario, demandCase int
+	spanCap              int
+	window               units.Time
+	format               string
+	top                  int
+	tracePath, statsPath string
 }
 
-// runFused runs one Figure 4 cell with both observers on one engine —
-// flight recorder plus windowed metrics with anomaly detectors — then
-// writes the stats series and the fused annotated trace, and prints the
-// incident table over the span timeline they both describe.
-func runFused(opt harness.Options, scenario, demandCase, spanCap int, window units.Time, format string, top int, tracePath, statsPath string) error {
-	switch format {
-	case "json", "openmetrics", "csv":
-	default:
-		return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
-	}
-	reg := metrics.New(metrics.Config{Window: window})
-	mon := anomaly.Attach(reg, anomaly.Config{})
-	if top > 0 {
-		reg.OnHarvest(func() {
-			fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, top))
-		})
-	}
-	res, tr, err := harness.Figure4FusedCell(opt, scenario, demandCase, spanCap, reg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
-	fmt.Println(metrics.BottleneckReport(reg, 3))
-	fmt.Println("incidents:")
-	fmt.Println(anomaly.Report(mon.Incidents()))
-
-	f, err := os.Create(statsPath)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "json":
-		err = reg.Dump().WriteJSON(f)
-	case "openmetrics":
-		err = metrics.WriteOpenMetrics(f, reg)
-	case "csv":
-		err = metrics.WriteCSV(f, reg)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
-		reg.Total(), reg.NumInstruments(), statsPath, format)
-
-	g, err := os.Create(tracePath)
-	if err != nil {
-		return err
-	}
-	if err := anomaly.WriteFusedTraceEvents(g, tr, mon.Incidents()); err != nil {
-		g.Close()
-		return err
-	}
-	if err := g.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote fused trace: %d spans + %d incident annotations to %s — open at https://ui.perfetto.dev\n",
-		tr.SpanCount(), mon.NumIncidents(), tracePath)
-	return nil
-}
-
-// runStats runs one instrumented cell, streaming a top-like view per
-// harvest window, then prints the ranked bottleneck report and writes
-// the per-window series in the requested format.
-func runStats(opt harness.Options, experiment string, scenario, demandCase int, window units.Time, format string, top int, path string) error {
-	switch format {
-	case "json", "openmetrics", "csv":
-	default:
-		return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
-	}
-	reg := metrics.New(metrics.Config{Window: window})
-	if top > 0 {
-		reg.OnHarvest(func() {
-			fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, top))
-		})
-	}
-	switch experiment {
+// runObserved runs one cell once with the observers o asks for — the
+// flight recorder, and the windowed-metrics registry with the anomaly
+// detectors — prints their reports and writes their files. With both
+// attached, the trace file is the fused export annotated with the
+// detected incidents.
+func runObserved(opt harness.Options, o observed) error {
+	switch o.experiment {
 	case "fig4":
-		res, err := harness.Figure4StatsCell(opt, scenario, demandCase, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
 	case "fig5":
-		res, err := harness.Figure5StatsRun(opt, scenario, reg)
+		if o.tracePath != "" {
+			return fmt.Errorf("-trace records Figure 4 cells only, not -stats-experiment fig5")
+		}
+	default:
+		return fmt.Errorf("unknown experiment %q; choose fig4 or fig5", o.experiment)
+	}
+	var tr *trace.Tracer
+	if o.tracePath != "" {
+		tr = trace.New(trace.Config{SpanCap: o.spanCap})
+	}
+	var reg *metrics.Registry
+	var mon *anomaly.Monitor
+	if o.statsPath != "" {
+		switch o.format {
+		case "json", "openmetrics", "csv":
+		default:
+			return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", o.format)
+		}
+		reg = metrics.New(metrics.Config{Window: o.window})
+		mon = anomaly.Attach(reg, anomaly.Config{})
+		if o.top > 0 {
+			reg.OnHarvest(func() {
+				fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, o.top))
+			})
+		}
+	}
+
+	if o.experiment == "fig5" {
+		res, err := harness.Figure5StatsRun(opt, o.scenario, reg)
 		if err != nil {
 			return err
 		}
 		fmt.Println(harness.RenderFigure5([]*harness.Fig5Result{res}))
-	default:
-		return fmt.Errorf("unknown experiment %q; choose fig4 or fig5", experiment)
+	} else {
+		res, _, err := harness.Figure4Cell(opt, o.scenario, o.demandCase, tr, reg)
+		if err != nil {
+			return err
+		}
+		fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
 	}
-	fmt.Println(metrics.FamilySummary(reg))
-	fmt.Println(metrics.BottleneckReport(reg, 3))
+	if reg != nil {
+		fmt.Println(metrics.FamilySummary(reg))
+		fmt.Println(metrics.BottleneckReport(reg, 3))
+		fmt.Println("incidents:")
+		fmt.Println(anomaly.Report(mon.Incidents()))
+	}
+	if tr != nil {
+		fmt.Println(tr.BreakdownReport(10))
+		fmt.Println("per-hop counter registry:")
+		fmt.Println(tr.CounterReport())
+	}
+
+	if reg != nil {
+		err := writeFile(o.statsPath, func(w io.Writer) error {
+			switch o.format {
+			case "openmetrics":
+				return metrics.WriteOpenMetrics(w, reg)
+			case "csv":
+				return metrics.WriteCSV(w, reg)
+			}
+			return reg.Dump().WriteJSON(w)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
+			reg.Total(), reg.NumInstruments(), o.statsPath, o.format)
+	}
+	switch {
+	case tr == nil:
+	case mon == nil:
+		if err := writeFile(o.tracePath, tr.WriteTraceEvents); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d spans to %s — open at https://ui.perfetto.dev or inspect with chiplettrace\n",
+			tr.SpanCount(), o.tracePath)
+	default:
+		err := writeFile(o.tracePath, func(w io.Writer) error {
+			return anomaly.WriteFusedTraceEvents(w, tr, mon.Incidents())
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote fused trace: %d spans + %d incident annotations to %s — open at https://ui.perfetto.dev\n",
+			tr.SpanCount(), mon.NumIncidents(), o.tracePath)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "json":
-		err = reg.Dump().WriteJSON(f)
-	case "openmetrics":
-		err = metrics.WriteOpenMetrics(f, reg)
-	case "csv":
-		err = metrics.WriteCSV(f, reg)
-	}
-	if err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
-		reg.Total(), reg.NumInstruments(), path, format)
-	return nil
+	return f.Close()
 }
 
 func runTable1(harness.Options) error {

@@ -23,6 +23,7 @@ package anomaly
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -328,10 +329,19 @@ func appendFloat(buf []byte, v float64) []byte {
 }
 
 // ReadArchive parses one JSONL stream of lifecycle records, append order.
-func ReadArchive(r io.Reader) ([]ArchiveRecord, error) {
+// A crash mid-append leaves a torn final line: one with no trailing
+// newline that does not decode. ReadArchive drops such a line and returns
+// the records before it with dropped = 1. An undecodable line anywhere
+// else is corruption and an error.
+func ReadArchive(r io.Reader) (recs []ArchiveRecord, dropped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []ArchiveRecord
+	unterminated := false // the last token scanned had no newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		unterminated = atEOF && tok != nil && bytes.IndexByte(data, '\n') < 0
+		return adv, tok, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -341,23 +351,26 @@ func ReadArchive(r io.Reader) ([]ArchiveRecord, error) {
 		}
 		var rec ArchiveRecord
 		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("anomaly: archive line %d: %w", line, err)
+			if unterminated {
+				return recs, 1, nil
+			}
+			return nil, 0, fmt.Errorf("anomaly: archive line %d: %w", line, err)
 		}
-		out = append(out, rec)
+		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("anomaly: reading archive: %w", err)
+		return nil, 0, fmt.Errorf("anomaly: reading archive: %w", err)
 	}
-	return out, nil
+	return recs, 0, nil
 }
 
 // LoadArchive reads the rotated archive set at path (oldest rotation
 // first, current file last) and folds the event stream: the returned
 // records are each incident's latest state, in first-onset order —
 // exactly the incident list a serving mirror would hold, reconstructed
-// from disk.
-func LoadArchive(path string) ([]ArchiveRecord, error) {
-	var events []ArchiveRecord
+// from disk. dropped counts the torn final lines skipped across the set
+// (see ReadArchive).
+func LoadArchive(path string) (recs []ArchiveRecord, dropped int, err error) {
 	// Rotated files carry no MaxFiles hint, so probe downward from the
 	// highest existing suffix.
 	maxRot := 0
@@ -367,29 +380,25 @@ func LoadArchive(path string) ([]ArchiveRecord, error) {
 		}
 		maxRot = i
 	}
-	for i := maxRot; i >= 1; i-- {
-		f, err := os.Open(rotatedName(path, i))
-		if err != nil {
-			return nil, err
+	var events []ArchiveRecord
+	for i := maxRot; i >= 0; i-- {
+		name := path
+		if i > 0 {
+			name = rotatedName(path, i)
 		}
-		recs, err := ReadArchive(f)
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, 0, err
+		}
+		got, n, err := ReadArchive(f)
 		f.Close()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		events = append(events, recs...)
+		events = append(events, got...)
+		dropped += n
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := ReadArchive(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	events = append(events, recs...)
-	return FoldArchive(events), nil
+	return FoldArchive(events), dropped, nil
 }
 
 // FoldArchive reduces a lifecycle event stream to the latest record per

@@ -87,7 +87,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if a.Records() != len(want) || a.Err() != nil {
 		t.Fatalf("Records = %d (err %v), want %d", a.Records(), a.Err(), len(want))
 	}
-	got, err := ReadArchive(&buf)
+	got, _, err := ReadArchive(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestArchiveRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := ReadArchive(f)
+		recs, _, err := ReadArchive(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
@@ -197,9 +197,12 @@ func TestLoadArchiveFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := LoadArchive(path)
+	recs, dropped, err := LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dropped != 0 {
+		t.Errorf("dropped %d lines of a cleanly closed archive", dropped)
 	}
 	if len(recs) != 3 {
 		t.Fatalf("folded to %d records, want 3: %+v", len(recs), recs)
@@ -217,10 +220,102 @@ func TestLoadArchiveFolds(t *testing.T) {
 }
 
 func TestReadArchiveBadLine(t *testing.T) {
-	_, err := ReadArchive(strings.NewReader("{\"incident\":{}}\nnot json\n"))
+	_, _, err := ReadArchive(strings.NewReader("{\"incident\":{}}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("err = %v, want a line-2 parse error", err)
 	}
+}
+
+// TestReadArchiveTornTail cuts a written archive at every byte offset of
+// its last record — what a crash mid-append leaves — and checks the
+// prefix always loads: a cut inside the record drops exactly that one
+// torn line, and a cut at either end of it drops nothing. Each cut is
+// also loaded through LoadArchive as the current file of a rotated set.
+func TestReadArchiveTornTail(t *testing.T) {
+	var buf bytes.Buffer
+	a := NewArchive(&buf)
+	want := []ArchiveRecord{
+		{Cell: "c0", Event: EventOnset, Incident: Incident{ID: 0, Resource: "umc0/rd", ClearWindow: -1, Severity: 5}},
+		archiveFixtureRecord(),
+	}
+	for _, rec := range want {
+		a.Record(rec)
+	}
+	full := buf.Bytes()
+	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
+	dir := t.TempDir()
+	path := filepath.Join(dir, "arch.jsonl")
+	// A clean rotated file, holding another cell's record, ahead of the
+	// torn current one.
+	var rotated bytes.Buffer
+	NewArchive(&rotated).Record(ArchiveRecord{Cell: "r", Event: EventOnset, Incident: Incident{ClearWindow: -1}})
+	if err := os.WriteFile(path+".1", rotated.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for cut := last; cut <= len(full); cut++ {
+		got, dropped, err := ReadArchive(bytes.NewReader(full[:cut]))
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		wantRecs, wantDropped := want[:1], 1
+		switch {
+		case cut == last:
+			wantDropped = 0
+		case cut >= len(full)-1: // the whole record, with or without its newline
+			wantRecs, wantDropped = want, 0
+		}
+		if dropped != wantDropped || !reflect.DeepEqual(got, wantRecs) {
+			t.Fatalf("cut at %d: %d records, %d dropped; want %d, %d", cut, len(got), dropped, len(wantRecs), wantDropped)
+		}
+
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		folded, dropped, err := LoadArchive(path)
+		if err != nil {
+			t.Fatalf("LoadArchive, cut at %d: %v", cut, err)
+		}
+		if dropped != wantDropped || len(folded) != 1+len(wantRecs) || folded[0].Cell != "r" {
+			t.Fatalf("LoadArchive, cut at %d: %+v, %d dropped; want the rotated record + %d, %d dropped",
+				cut, folded, dropped, len(wantRecs), wantDropped)
+		}
+	}
+}
+
+// TestReadArchiveTornLineMidFile: an undecodable line followed by more
+// data is corruption, not a torn append, whether or not it ends in a
+// newline of its own.
+func TestReadArchiveTornLineMidFile(t *testing.T) {
+	for _, in := range []string{
+		"{\"cell\":\"a\"}\n{\"cell\":\nnext\n",
+		"{\"cell\":\"a\"}\n{\"cell\":\n{\"cell\":\"b\"}\n",
+		"{\"cell\":\"a\"}\n{\"cell\":\n\n",
+	} {
+		if recs, dropped, err := ReadArchive(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: loaded %d records, %d dropped; want an error", in, len(recs), dropped)
+		}
+	}
+}
+
+// FuzzReadArchive: no input panics the reader; at most the final line is
+// dropped, and only when the input does not end in a newline.
+func FuzzReadArchive(f *testing.F) {
+	var buf bytes.Buffer
+	a := NewArchive(&buf)
+	a.Record(ArchiveRecord{Cell: "c0", Event: EventOnset, Incident: Incident{Resource: "umc0/rd", ClearWindow: -1}})
+	a.Record(archiveFixtureRecord())
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-7])
+	f.Add([]byte("{\"incident\":{}}\nnot json\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, dropped, err := ReadArchive(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if dropped > 1 || (dropped == 1 && bytes.HasSuffix(data, []byte("\n"))) {
+			t.Fatalf("dropped %d lines of %q", dropped, data)
+		}
+	})
 }
 
 // BenchmarkArchiveAppend gates the append path at 0 allocs/op: attaching

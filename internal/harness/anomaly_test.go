@@ -14,17 +14,18 @@ import (
 	"repro/internal/units"
 )
 
-// TestFigure4MonitoredCellMatchesPlain is the detector determinism
+// TestFigure4CellMonitoredMatchesPlain is the detector determinism
 // guard: the monitor only reads the registry's windows, so a monitored
 // cell must produce byte-identical bandwidth results to the plain one.
-func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
+func TestFigure4CellMonitoredMatchesPlain(t *testing.T) {
 	opt := quick()
-	want, err := figure4Cell(Figure4Scenarios()[1], Fig4Cases()[2], opt)
+	want, _, err := Figure4Cell(opt, 1, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	got, mon, err := Figure4MonitoredCell(opt, 1, 2, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	got, _, err := Figure4Cell(opt, 1, 2, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +37,16 @@ func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestFigure4MonitoredCellNamesSharedUMC: in the UMC/GMI scenario with
+// TestFigure4CellMonitorNamesSharedUMC: in the UMC/GMI scenario with
 // equal over-subscribing demands, congestion on the shared memory
 // channel is steady by the time the registry starts (after convergence),
 // so the zero-primed detector must raise an incident naming umc0's read
 // channel at the first harvested window — and the linked bottleneck
 // ranking must agree.
-func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
+func TestFigure4CellMonitorNamesSharedUMC(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	_, mon, err := Figure4MonitoredCell(quick(), 1, 2, reg, anomaly.Config{})
-	if err != nil {
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	if _, _, err := Figure4Cell(quick(), 1, 2, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	incs := mon.Incidents()
@@ -74,16 +75,17 @@ func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
 	}
 }
 
-// TestFigure5MonitoredRunMatchesPlain: same invisibility contract for
-// the Figure 5 schedule.
-func TestFigure5MonitoredRunMatchesPlain(t *testing.T) {
+// TestFigure5StatsRunMonitoredMatchesPlain: same invisibility contract
+// for the Figure 5 schedule.
+func TestFigure5StatsRunMonitoredMatchesPlain(t *testing.T) {
 	opt := quick()
 	want, err := figure5Run(Figure5Scenarios()[0], opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New(metrics.Config{})
-	got, mon, err := Figure5MonitoredRun(opt, 0, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	got, err := Figure5StatsRun(opt, 0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +97,17 @@ func TestFigure5MonitoredRunMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestFigure4FusedCellWindowVerdict runs tracer and registry on one
+// TestFigure4CellFusedWindowVerdict runs tracer and registry on one
 // engine and checks the fused view against the flight recorder's own
 // span-level verdict: the spans SpansInWindow returns for the incident's
 // onset window are exactly the ones a brute-force EachSpan overlap
 // filter selects, they are non-empty, and they include wait time on the
 // congested umc0/rd hop itself.
-func TestFigure4FusedCellWindowVerdict(t *testing.T) {
+func TestFigure4CellFusedWindowVerdict(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, tr, err := Figure4FusedCell(quick(), 1, 2, 0, reg)
-	if err != nil {
+	tr := trace.New(trace.Config{})
+	if _, _, err := Figure4Cell(quick(), 1, 2, tr, reg); err != nil {
 		t.Fatal(err)
 	}
 	incs := mon.Incidents()
@@ -172,8 +174,8 @@ func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 // incident bit-exactly, peak-timing stamps included.
 func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	_, mon, err := Figure4MonitoredCell(quick(), 1, 2, reg, anomaly.Config{})
-	if err != nil {
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	if _, _, err := Figure4Cell(quick(), 1, 2, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	want := mon.Incidents()
@@ -215,7 +217,7 @@ func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 	for _, in := range want {
 		arch.Record(anomaly.ArchiveRecord{Cell: "fig4/s1c2", Event: anomaly.EventUpdate, Incident: in})
 	}
-	recs, err := anomaly.ReadArchive(&jl)
+	recs, _, err := anomaly.ReadArchive(&jl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestCorrelateAcrossConfigs(t *testing.T) {
 		reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 		mon := anomaly.Attach(reg, anomaly.Config{})
 		cell.Observe(reg, mon)
-		if _, err := Figure4StatsCell(quick(), 1, run.c, reg); err != nil {
+		if _, _, err := Figure4Cell(quick(), 1, run.c, nil, reg); err != nil {
 			t.Fatal(err)
 		}
 		cell.Finish("done", nil)
@@ -285,8 +287,8 @@ func TestCorrelateAcrossConfigs(t *testing.T) {
 func TestFusedTraceFileAcceptance(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, tr, err := Figure4FusedCell(quick(), 1, 2, 0, reg)
-	if err != nil {
+	tr := trace.New(trace.Config{})
+	if _, _, err := Figure4Cell(quick(), 1, 2, tr, reg); err != nil {
 		t.Fatal(err)
 	}
 	var umc *anomaly.Incident

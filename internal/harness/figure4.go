@@ -127,22 +127,6 @@ func Figure4Scenarios() []Fig4Scenario {
 	}
 }
 
-// figure4Cell runs one (scenario, demand case) cell on a private engine.
-func figure4Cell(sc Fig4Scenario, c Fig4Case, opt Options) (Fig4Result, error) {
-	return figure4CellObserved(sc, c, opt, nil, nil)
-}
-
-// figure4CellObserved is figure4Cell with optional observers: a flight
-// recorder and/or a windowed-metrics registry, attached before any
-// traffic runs and active for exactly the steady-state measurement
-// window, so spans and harvest windows describe the same interval the
-// bandwidth numbers are measured over. The results are identical with
-// any combination attached — observability observes, never steers.
-func figure4CellObserved(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, error) {
-	res, _, err := figure4CellCounted(sc, c, opt, tr, reg)
-	return res, err
-}
-
 // CellPerf is a cell's execution-cost readout: how many simulation
 // events it ran, how many channel depart events departure stamps elided,
 // and how much simulated time it covered.
@@ -152,10 +136,38 @@ type CellPerf struct {
 	Sim    units.Time // simulated time covered, warmup included
 }
 
-// figure4CellCounted additionally reports the cell's execution-cost
-// readout (warmup included) — the numerators and denominators of the
-// cell-throughput benchmark in cmd/chipletbench.
-func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, CellPerf, error) {
+// Figure4Cell runs one Figure 4 (scenario, demand case) cell on its own
+// engine with optional observers: a flight recorder tr and a
+// windowed-metrics registry reg, either of which may be nil (not
+// attached). Both are attached before any traffic runs and are active
+// for exactly the steady-state measurement window (after convergence and
+// the stats reset), so spans and harvest windows describe the interval
+// the achieved-bandwidth numbers summarize, on one clock: a metrics
+// window's [start, end) keys directly into the tracer
+// (trace.SpansInWindow, anomaly.Fuse).
+//
+// The caller builds the observers (span capacity, harvest window) and
+// reads them after the cell returns; detectors attached to reg with
+// anomaly.Attach before the call, or any OnHarvest callback, see every
+// window as the simulation runs. The cell runs serially regardless of
+// opt.Workers — observers are engine-local. The result is identical with
+// any combination attached — observability observes, never steers. The
+// CellPerf readout covers the whole cell, warmup included.
+func Figure4Cell(opt Options, scenario, demandCase int, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, CellPerf, error) {
+	scs := Figure4Scenarios()
+	if scenario < 0 || scenario >= len(scs) {
+		return Fig4Result{}, CellPerf{}, fmt.Errorf("harness: scenario %d out of range [0,%d)", scenario, len(scs))
+	}
+	cases := Fig4Cases()
+	if demandCase < 0 || demandCase >= len(cases) {
+		return Fig4Result{}, CellPerf{}, fmt.Errorf("harness: demand case %d out of range [0,%d)", demandCase, len(cases))
+	}
+	return figure4Cell(scs[scenario], cases[demandCase], opt, tr, reg)
+}
+
+// figure4Cell runs one (scenario, demand case) cell on a private engine
+// with the optional observers of Figure4Cell.
+func figure4Cell(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, CellPerf, error) {
 	p := sc.Profile()
 	net := opt.newNet(p)
 	if tr != nil {
@@ -205,18 +217,12 @@ func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Trac
 	}, perf, nil
 }
 
-// Figure4CellThroughput runs one (scenario, case) cell at full length and
-// reports its result plus the execution-cost readout — the cell-level
-// throughput probe behind cmd/chipletbench's cell_throughput row.
-func Figure4CellThroughput(sc Fig4Scenario, c Fig4Case, opt Options) (Fig4Result, CellPerf, error) {
-	return figure4CellCounted(sc, c, opt, nil, nil)
-}
-
 // Figure4Run evaluates one scenario across the four demand cases.
 func Figure4Run(sc Fig4Scenario, opt Options) ([]Fig4Result, error) {
 	cases := Fig4Cases()
 	return runCells(opt, len(cases), func(i int) (Fig4Result, error) {
-		return figure4Cell(sc, cases[i], opt)
+		res, _, err := figure4Cell(sc, cases[i], opt, nil, nil)
+		return res, err
 	})
 }
 
@@ -226,7 +232,8 @@ func Figure4(opt Options) ([]Fig4Result, error) {
 	scs := Figure4Scenarios()
 	cases := Fig4Cases()
 	return runCells(opt, len(scs)*len(cases), func(i int) (Fig4Result, error) {
-		return figure4Cell(scs[i/len(cases)], cases[i%len(cases)], opt)
+		res, _, err := figure4Cell(scs[i/len(cases)], cases[i%len(cases)], opt, nil, nil)
+		return res, err
 	})
 }
 

@@ -69,6 +69,25 @@ func Figure5Run(sc Fig5Scenario, opt Options) (*Fig5Result, error) {
 	return figure5Run(sc, opt, nil)
 }
 
+// Figure5StatsRun traces one Figure 5 scenario with a windowed-metrics
+// registry harvesting over the six-virtual-second trace (warmup
+// excluded). With the default 100 us window — the paper's 100 ms IF
+// harvest interval under the 1:1000 substitution — the registry records
+// sixty windows spanning the whole fluctuating-demand schedule, lining
+// up with the bandwidth series in the returned result. Attach detectors
+// to reg (anomaly.Attach) before the call to watch each congestion
+// episode as the demand pattern creates and releases it.
+func Figure5StatsRun(opt Options, scenario int, reg *metrics.Registry) (*Fig5Result, error) {
+	scs := Figure5Scenarios()
+	if scenario < 0 || scenario >= len(scs) {
+		return nil, fmt.Errorf("harness: scenario %d out of range [0,%d)", scenario, len(scs))
+	}
+	if reg == nil {
+		return nil, fmt.Errorf("harness: nil metrics registry")
+	}
+	return figure5Run(scs[scenario], opt, reg)
+}
+
 // figure5Run is Figure5Run with an optional windowed-metrics registry:
 // when reg is non-nil it is attached before any traffic runs and
 // harvests over exactly the six-virtual-second trace (warmup excluded),

@@ -23,7 +23,7 @@ func TestFlagshipCellLedger(t *testing.T) {
 		{"9634 IF case 3", 0, 2_819_435, 1_848_163},
 	}
 	for _, c := range cells {
-		_, perf, err := Figure4CellThroughput(Figure4Scenarios()[c.scIdx], Fig4Cases()[2], Options{Seed: 42, TimeScale: 1})
+		_, perf, err := Figure4Cell(Options{Seed: 42, TimeScale: 1}, c.scIdx, 2, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

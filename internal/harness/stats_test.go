@@ -10,18 +10,18 @@ import (
 	"repro/internal/units"
 )
 
-// TestFigure4StatsCellMatchesPlain is the metrics determinism guard: the
+// TestFigure4CellStatsMatchesPlain is the metrics determinism guard: the
 // harvest tick reads counters but never touches the RNG or any component
 // state, so an instrumented cell must produce byte-identical bandwidth
 // results to the plain one.
-func TestFigure4StatsCellMatchesPlain(t *testing.T) {
+func TestFigure4CellStatsMatchesPlain(t *testing.T) {
 	opt := quick()
-	want, err := figure4Cell(Figure4Scenarios()[1], Fig4Cases()[2], opt)
+	want, _, err := Figure4Cell(opt, 1, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	got, err := Figure4StatsCell(opt, 1, 2, reg)
+	got, _, err := Figure4Cell(opt, 1, 2, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFigure4StatsCellMatchesPlain(t *testing.T) {
 // every harvested window.
 func TestFigure4StatsBottleneckNamesSharedUMC(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	if _, err := Figure4StatsCell(quick(), 1, 2, reg); err != nil {
+	if _, _, err := Figure4Cell(quick(), 1, 2, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Total() == 0 {
@@ -62,7 +62,7 @@ func TestFigure4StatsBottleneckNamesSharedUMC(t *testing.T) {
 // the three export formats must carry them.
 func TestStatsFamiliesInAllFormats(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	if _, err := Figure4StatsCell(quick(), 1, 2, reg); err != nil {
+	if _, _, err := Figure4Cell(quick(), 1, 2, nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	families := map[string]bool{}
@@ -122,17 +122,22 @@ func TestFigure5StatsRunMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestStatsCellValidation covers the index and nil-registry guards.
+// TestStatsCellValidation covers the index guards of both observed-cell
+// entry points and Figure5StatsRun's nil-registry guard. (Figure4Cell
+// takes a nil registry as "not attached".)
 func TestStatsCellValidation(t *testing.T) {
 	reg := metrics.New(metrics.Config{})
-	if _, err := Figure4StatsCell(quick(), 99, 0, reg); err == nil {
+	if _, _, err := Figure4Cell(quick(), 99, 0, nil, reg); err == nil {
 		t.Error("scenario out of range accepted")
 	}
-	if _, err := Figure4StatsCell(quick(), 0, 99, reg); err == nil {
+	if _, _, err := Figure4Cell(quick(), 0, 99, nil, reg); err == nil {
 		t.Error("case out of range accepted")
 	}
-	if _, err := Figure4StatsCell(quick(), 0, 0, nil); err == nil {
-		t.Error("nil registry accepted")
+	if _, _, err := Figure4Cell(quick(), -1, 0, nil, nil); err == nil {
+		t.Error("negative scenario accepted")
+	}
+	if _, _, err := Figure4Cell(quick(), 0, -1, nil, nil); err == nil {
+		t.Error("negative case accepted")
 	}
 	if _, err := Figure5StatsRun(quick(), 99, reg); err == nil {
 		t.Error("fig5 scenario out of range accepted")

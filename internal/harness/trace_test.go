@@ -3,22 +3,24 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
-// TestFigure4TraceCellMatchesUntraced runs the congested UMC/GMI cell
+// TestFigure4CellTraceMatchesUntraced runs the congested UMC/GMI cell
 // (scenario 1, equal over-subscribing demands) with the flight recorder
 // on and checks the acceptance contract: identical bandwidth results to
 // the untraced cell, >= 95% of total transaction latency attributed to
 // named causes, and exact per-transaction span tilings away from the
 // window boundaries.
-func TestFigure4TraceCellMatchesUntraced(t *testing.T) {
+func TestFigure4CellTraceMatchesUntraced(t *testing.T) {
 	opt := Options{Seed: 42, TimeScale: 16, Workers: 1}
-	res, tr, err := Figure4TraceCell(opt, 1, 2, 1<<20)
+	tr := trace.New(trace.Config{SpanCap: 1 << 20})
+	res, _, err := Figure4Cell(opt, 1, 2, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := figure4Cell(Figure4Scenarios()[1], Fig4Cases()[2], opt)
+	plain, _, err := Figure4Cell(opt, 1, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func TestFleetArchiveReloadsIdentical(t *testing.T) {
 		t.Fatalf("fixture incidents = %+v, want [cleared, open]", want)
 	}
 
-	recs, err := anomaly.LoadArchive(path)
+	recs, _, err := anomaly.LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFleetArchiveReloadsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := anomaly.ReadArchive(f)
+	raw, _, err := anomaly.ReadArchive(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

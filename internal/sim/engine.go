@@ -144,20 +144,6 @@ func (e *Engine) Fused() uint64 { return e.fused }
 // NoteFused counts one elided event.
 func (e *Engine) NoteFused() { e.fused++ }
 
-// NextAt reports the timestamp of the earliest pending event. ok is false
-// when the calendar is empty. The calendar is not restructured: peeking at
-// an overflow-only calendar does not migrate events into the wheel.
-func (e *Engine) NextAt() (units.Time, bool) {
-	if e.wheelCount > 0 {
-		tick := e.scanOccupied()
-		return e.slots[tick&slotMask][0].at, true
-	}
-	if len(e.overflow) > 0 {
-		return e.overflow[0].at, true
-	}
-	return 0, false
-}
-
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is a programming error and panics: allowing it silently would
 // reorder causality.

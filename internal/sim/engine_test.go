@@ -218,32 +218,6 @@ func TestRandomScheduleOrdering(t *testing.T) {
 	}
 }
 
-func TestNextAt(t *testing.T) {
-	e := New(1)
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt on empty calendar reported an event")
-	}
-	e.At(500, func() {})
-	if at, ok := e.NextAt(); !ok || at != 500 {
-		t.Fatalf("NextAt = %v, %v; want 500, true", at, ok)
-	}
-	// Far-future event lands in the overflow heap; NextAt must see it
-	// without restructuring the calendar.
-	e2 := New(1)
-	e2.At(units.Time(wheelSpan)*3, func() {})
-	if at, ok := e2.NextAt(); !ok || at != units.Time(wheelSpan)*3 {
-		t.Fatalf("overflow NextAt = %v, %v; want %v, true", at, ok, units.Time(wheelSpan)*3)
-	}
-	// Earlier wheel event shadows the overflow minimum.
-	e2.At(100, func() {})
-	if at, ok := e2.NextAt(); !ok || at != 100 {
-		t.Fatalf("mixed NextAt = %v, %v; want 100, true", at, ok)
-	}
-	if got := e2.Pending(); got != 2 {
-		t.Fatalf("peeking disturbed the calendar: pending = %d, want 2", got)
-	}
-}
-
 func TestExecutedCounts(t *testing.T) {
 	e := New(7)
 	for i := 0; i < 10; i++ {

@@ -34,9 +34,24 @@ const psPerMicro = 1e6
 // readers can tell incident intervals from hop spans.
 const incidentTrackKind = "incidents"
 
+// maxPS bounds the magnitude of a time or duration ReadTraceEvents
+// accepts: 2^50 ps (about 19 simulated minutes) is far beyond any run,
+// and below it the picosecond -> float microsecond -> picosecond round
+// trip is exact, so a loaded trace re-exports byte-identically.
+const maxPS = 1 << 50
+
 // micros renders a picosecond time as exact float microseconds.
 func micros(t units.Time) string {
 	return strconv.FormatFloat(float64(t)/psPerMicro, 'f', -1, 64)
+}
+
+// quote renders s as a JSON string literal. On printable ASCII other
+// than <, > and & — every name the simulator registers — it writes what
+// strconv.Quote writes; unlike Quote it stays valid JSON for any name a
+// loaded file carried (control characters, non-BMP runes).
+func quote(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
 }
 
 // Annotation is one incident marker on the export's annotation track: an
@@ -65,7 +80,7 @@ func writeTraceEvents(w io.Writer, hops []Hop, each func(func(Span)), anns []Ann
 	fmt.Fprintf(bw, `{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"chiplet-net"}}`)
 	for i, h := range hops {
 		fmt.Fprintf(bw, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s,\"kind\":%q}}",
-			i+1, strconv.Quote(h.Name), h.Kind.String())
+			i+1, quote(h.Name), h.Kind.String())
 	}
 	annTid := len(hops) + 1
 	if len(anns) > 0 {
@@ -78,14 +93,14 @@ func writeTraceEvents(w io.Writer, hops []Hop, each func(func(Span)), anns []Ann
 	})
 	for _, a := range anns {
 		fmt.Fprintf(bw, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,"+
-			"\"args\":{\"resource\":%s,\"severity\":%g,\"baseline\":%g,\"detector\":%q,\"open\":%v}}",
-			annTid, micros(a.Start), micros(a.End-a.Start), strconv.Quote(a.Name),
-			strconv.Quote(a.Name), a.Severity, a.Baseline, a.Detector, a.Open)
+			"\"args\":{\"resource\":%s,\"severity\":%g,\"baseline\":%g,\"detector\":%s,\"open\":%v}}",
+			annTid, micros(a.Start), micros(a.End-a.Start), quote(a.Name),
+			quote(a.Name), a.Severity, a.Baseline, quote(a.Detector), a.Open)
 		fmt.Fprintf(bw, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"args\":{\"resource\":%s,\"severity\":%g}}",
-			annTid, micros(a.Start), strconv.Quote("onset "+a.Name), strconv.Quote(a.Name), a.Severity)
+			annTid, micros(a.Start), quote("onset "+a.Name), quote(a.Name), a.Severity)
 		if !a.Open {
 			fmt.Fprintf(bw, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"args\":{\"resource\":%s,\"severity\":%g}}",
-				annTid, micros(a.End), strconv.Quote("clear "+a.Name), strconv.Quote(a.Name), a.Severity)
+				annTid, micros(a.End), quote("clear "+a.Name), quote(a.Name), a.Severity)
 		}
 	}
 	bw.WriteString("\n]}\n")
@@ -130,9 +145,11 @@ func (l *Loaded) WriteTraceEvents(w io.Writer) error {
 
 // ReadTraceEvents parses trace_event JSON produced by WriteTraceEvents.
 // Unknown event phases are skipped so hand-edited traces still load;
-// span events with unknown cause names or tracks are an error. Events on
-// a track whose metadata kind is "incidents" are parsed as annotations,
-// not spans.
+// span events with unknown cause names or tracks are an error, and so
+// are track ids outside [0, number of events] and times beyond maxPS —
+// hostile input fails to load instead of panicking or allocating without
+// bound. Events on a track whose metadata kind is "incidents" are parsed
+// as annotations, not spans.
 func ReadTraceEvents(r io.Reader) (*Loaded, error) {
 	var doc struct {
 		TraceEvents []struct {
@@ -171,6 +188,9 @@ func ReadTraceEvents(r io.Reader) (*Loaded, error) {
 			if ev.Name != "thread_name" || ev.Tid == 0 {
 				continue
 			}
+			if ev.Tid < 0 || ev.Tid > len(doc.TraceEvents) {
+				return nil, fmt.Errorf("trace: track metadata tid=%d outside [1,%d]", ev.Tid, len(doc.TraceEvents))
+			}
 			if ev.Args.Kind == incidentTrackKind {
 				annTids[ev.Tid] = true
 				continue
@@ -184,13 +204,16 @@ func ReadTraceEvents(r io.Reader) (*Loaded, error) {
 				h.Kind = k
 			}
 		case "X":
-			start := units.Time(math.Round(ev.Ts * psPerMicro))
-			dur := units.Time(math.Round(ev.Dur * psPerMicro))
+			ts, dur := math.Round(ev.Ts*psPerMicro), math.Round(ev.Dur*psPerMicro)
+			if math.Abs(ts) > maxPS || math.Abs(dur) > maxPS {
+				return nil, fmt.Errorf("trace: event time ts=%gus dur=%gus beyond %d ps", ev.Ts, ev.Dur, int64(maxPS))
+			}
+			start := units.Time(ts)
 			if annTids[ev.Tid] {
 				ld.Annotations = append(ld.Annotations, Annotation{
 					Name:     ev.Name,
 					Start:    start,
-					End:      start + dur,
+					End:      start + units.Time(dur),
 					Open:     ev.Args.Open,
 					Severity: ev.Args.Severity,
 					Baseline: ev.Args.Baseline,
@@ -209,7 +232,7 @@ func ReadTraceEvents(r io.Reader) (*Loaded, error) {
 			ld.Spans = append(ld.Spans, Span{
 				Txn:   ev.Args.Txn,
 				Start: start,
-				End:   start + dur,
+				End:   start + units.Time(dur),
 				Hop:   id,
 				Cause: cause,
 			})
